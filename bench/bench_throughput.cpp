@@ -1539,7 +1539,7 @@ int main(int argc, char** argv) {
   // short-lived holder threads that die holding names (cache off, no
   // release: nothing flushes — the crashed-holder model). With leasing
   // on, the dead holders' heartbeats go stale after ttl + grace TSC
-  // ticks and the churners' sampled reap polls recycle the abandoned
+  // ticks and the churners' op-path reap polls recycle the abandoned
   // cells; the unleased control run leaks every one of them. After a
   // final explicit drain, lease_reap_recovery = leases expired / names
   // abandoned — the smoke gate asserts >= 0.99.
@@ -1739,6 +1739,15 @@ int main(int argc, char** argv) {
   // control run's permanent leak.
   if (lease_reap_recovery >= 0) {
     derived.emplace_back("lease_reap_recovery", lease_reap_recovery);
+    // What leasing costs the churners: unleased / leased items/s at the
+    // family's thread count (acceptance: <= 10 — well above the per-name
+    // lease cells, well below the old hashed, lock-sharded table).
+    const double leased = items("crash-churn", "service-leased", crash_threads);
+    if (leased > 0) {
+      derived.emplace_back(
+          "lease_overhead_at_peak_threads",
+          items("crash-churn", "service-unleased", crash_threads) / leased);
+    }
     derived.emplace_back("crash_churn_abandoned",
                          static_cast<double>(crash_abandoned));
     derived.emplace_back("crash_churn_unleased_leak",

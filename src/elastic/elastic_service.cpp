@@ -33,8 +33,6 @@ struct PerElastic {
   /// This thread's lease heartbeat cell (null until the first op under a
   /// leasing service; heap-owned by the LeaseTable, outlives the thread).
   loren::lease::Heartbeat* hb = nullptr;
-  /// Sampled reap-poll phase (ElasticRenamingService::kLeasePollMask).
-  std::uint32_t lease_poll = 0;
 };
 
 struct ThreadCtx {
@@ -315,12 +313,15 @@ ElasticRenamingService::~ElasticRenamingService() {
 bool ElasticRenamingService::reclaim_cell(void* ctx, Name name) {
   // Caller (the reap driver) holds an epoch pin — the tag-table deref
   // below follows the same rules as release_shared's.
+  // The lease table passes the unstamped cell index, so there is no
+  // generation stamp to check — and none is needed: the lease was live
+  // until the reaper's CAS, so its cell is still taken, the group's
+  // live() > 0, and the tag cannot have been recycled.
   auto* self = static_cast<ElasticRenamingService*>(ctx);
   if (name < 0) return false;
-  const DecodedName d = decode_name(name, self->options_.debug_release_guard);
+  const DecodedName d = decode_name(name, /*guard=*/false);
   ShardGroup* g = self->groups_[d.tag].load(std::memory_order_acquire);
   if (g == nullptr) return false;
-  if (!stamp_matches(*g, d, self->options_.debug_release_guard)) return false;
   if (!g->release_local(d.local)) return false;
   g->note_released();
   return true;
@@ -348,8 +349,7 @@ void ElasticRenamingService::flush_thread_state(void* payload) {
 }
 
 void ElasticRenamingService::lease_heartbeat(
-    lease::Heartbeat*& hb, std::uint32_t& poll, NameStash* st,
-    EpochDomain::Slot& slot,
+    lease::Heartbeat*& hb, NameStash* st, EpochDomain::Slot& slot,
     telemetry::MetricsRegistry::ThreadStripe& stripe) {
   if (hb == nullptr) hb = &leases_->register_thread();
   const std::uint64_t now = leases_->now();
@@ -371,7 +371,7 @@ void ElasticRenamingService::lease_heartbeat(
       if (leases_->validate(buf[i], hb)) st->push(buf[i]);
     }
   }
-  if ((poll++ & kLeasePollMask) == 0) {
+  if (leases_->scan_due(now)) {
     std::size_t reclaimed;
     {
       // The reclaim callback dereferences the tag table: pin the epoch
@@ -394,9 +394,8 @@ Name ElasticRenamingService::renew_lease(Name name) {
     per.slot = &domain_.register_thread();
     per.stripe = &ins_.registry->stripe();
   }
-  lease_heartbeat(per.hb, per.lease_poll,
-                  options_.name_cache ? &per.stash : nullptr, *per.slot,
-                  *per.stripe);
+  lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                  *per.slot, *per.stripe);
   return leases_->renew(name, leases_->now(), per.hb, per.stripe) ? name
                                                           : kLeaseExpired;
 }
@@ -435,9 +434,8 @@ Name ElasticRenamingService::acquire() {
     per.stripe = &ins_.registry->stripe();
   }
   if (leases_ != nullptr) {
-    lease_heartbeat(per.hb, per.lease_poll,
-                    options_.name_cache ? &per.stash : nullptr, *per.slot,
-                    *per.stripe);
+    lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                    *per.slot, *per.stripe);
   }
   // Detailed mode: every (mask+1)-th op is the observed sample — one
   // trace_ticks() pair plus probe/lost-race accumulation into a stack
@@ -585,9 +583,8 @@ bool ElasticRenamingService::release(Name name) {
     per.stripe = &ins_.registry->stripe();
   }
   if (leases_ != nullptr) {
-    lease_heartbeat(per.hb, per.lease_poll,
-                    options_.name_cache ? &per.stash : nullptr, *per.slot,
-                    *per.stripe);
+    lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                    *per.slot, *per.stripe);
   }
   const bool timed =
       ins_.detailed && ((per.rel_tick++ & kLatencySampleMask) == 0);
@@ -650,7 +647,7 @@ bool ElasticRenamingService::release(Name name) {
     if (!stamp_matches(*g, d, options_.debug_release_guard)) {
       return finish(false);
     }
-    // Close-vs-reap is linearized by the lease shard lock: exactly one
+    // Close-vs-reap is linearized by the lease owner-word CAS: exactly one
     // side frees the cell. A lost close means the reaper already reclaimed
     // it — with the guard on the late release is rejected (kLeaseExpired
     // semantics), never silently double-freed under a revived holder.
@@ -680,9 +677,8 @@ std::uint64_t ElasticRenamingService::acquire_many(std::uint64_t k,
     per.stripe = &ins_.registry->stripe();
   }
   if (leases_ != nullptr) {
-    lease_heartbeat(per.hb, per.lease_poll,
-                    options_.name_cache ? &per.stash : nullptr, *per.slot,
-                    *per.stripe);
+    lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                    *per.slot, *per.stripe);
   }
   const bool timed =
       ins_.detailed && ((per.op_tick++ & kLatencySampleMask) == 0);
@@ -852,9 +848,8 @@ std::uint64_t ElasticRenamingService::release_many(const Name* names,
     per.stripe = &ins_.registry->stripe();
   }
   if (leases_ != nullptr) {
-    lease_heartbeat(per.hb, per.lease_poll,
-                    options_.name_cache ? &per.stash : nullptr, *per.slot,
-                    *per.stripe);
+    lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                    *per.slot, *per.stripe);
   }
   std::uint64_t freed = 0;
   if (!options_.name_cache) {

@@ -173,6 +173,8 @@ class ElasticRenamingService {
   /// negative means "failure" everywhere).
   static constexpr std::uint32_t kGenStampShift = 48;
   static constexpr std::uint64_t kGenStampMask = 0x7FFF;
+  static_assert(kGenStampShift == lease::kNameIndexBits,
+                "lease cells are indexed by the unstamped name bits");
 
   /// acquire() failure codes. kExhausted: the namespace is full and
   /// cannot grow. kSweepBudgetExhausted: the bounded sweep budget
@@ -393,10 +395,11 @@ class ElasticRenamingService {
 
   /// Per-op lease prologue (leasing on only): registers/stamps the
   /// calling thread's heartbeat, revalidates the stash after a
-  /// self-detected stale gap, and runs the sampled try_reap poll under
-  /// an epoch pin (the reclaim callback dereferences the tag table).
-  void lease_heartbeat(lease::Heartbeat*& hb, std::uint32_t& poll,
-                       NameStash* st, EpochDomain::Slot& slot,
+  /// self-detected stale gap, and, once per scan period, runs the
+  /// try_reap poll under an epoch pin (the reclaim callback dereferences
+  /// the tag table).
+  void lease_heartbeat(lease::Heartbeat*& hb, NameStash* st,
+                       EpochDomain::Slot& slot,
                        telemetry::MetricsRegistry::ThreadStripe& stripe);
 
   /// LeaseTable::ReclaimFn: routes an expired name back into its
@@ -531,8 +534,6 @@ class ElasticRenamingService {
   /// The lease table (null when options.lease.ttl_ticks == 0 — the
   /// leasing-off hot path pays one null check per op and nothing else).
   std::unique_ptr<lease::LeaseTable> leases_;
-  /// Sampled op-path reap poll cadence (every 64th op per thread).
-  static constexpr std::uint32_t kLeasePollMask = 63;
 };
 
 }  // namespace loren

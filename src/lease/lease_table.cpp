@@ -1,30 +1,47 @@
 #include "lease/lease_table.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace loren::lease {
 namespace {
 
-/// splitmix64-style finalizer: shard selection takes the high bits, the
-/// per-shard map takes the low bits, so the two indices decorrelate even
-/// for the services' structured (shard-interleaved / tag-packed) names.
-std::uint64_t mix_name(sim::Name name) {
-  auto x = static_cast<std::uint64_t>(name);
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDull;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ull;
-  x ^= x >> 33;
-  return x;
+// Owner word: bit 0 live, bits [1, 33) holder (heartbeat id + 1, 0 for
+// a holderless lease), bits [33, 64) a version bumped by every
+// transition, so a CAS against a word read before any other transition
+// fails.
+constexpr std::uint64_t kLive = 1;
+constexpr unsigned kHolderShift = 1;
+constexpr std::uint64_t kHolderMask = std::uint64_t{0xFFFFFFFF} << kHolderShift;
+constexpr std::uint64_t kVersionOne = std::uint64_t{1} << 33;
+
+/// The cell index of a name: its bits below kNameIndexBits.
+std::uint64_t index_of(sim::Name name) {
+  return static_cast<std::uint64_t>(name) &
+         ((std::uint64_t{1} << kNameIndexBits) - 1);
 }
 
-std::uint64_t pow2_at_least(std::uint64_t v) {
-  std::uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+std::uint64_t holder_bits(const Heartbeat* hb) {
+  return hb == nullptr ? 0 : (std::uint64_t{hb->id} + 1) << kHolderShift;
 }
 
-constexpr std::size_t kInitialBuckets = 64;
+/// The word after `w` with the given live bit and holder.
+std::uint64_t next_word(std::uint64_t w, std::uint64_t live,
+                        std::uint64_t holder) {
+  return ((w & ~(kLive | kHolderMask)) + kVersionOne) | holder | live;
+}
+
+/// Live and closable/renewable by `hb`: bound to it, or holderless.
+bool owned_by(std::uint64_t w, const Heartbeat* hb) {
+  const std::uint64_t h = w & kHolderMask;
+  return (w & kLive) != 0 && (h == 0 || h == holder_bits(hb));
+}
+
+/// Single-writer increment (the RegisteredCounter idiom), never an RMW.
+void bump(std::atomic<std::uint64_t>& w) {
+  // mo:relaxed-ok(single-writer tally; sums are exact under quiescence)
+  w.store(w.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -32,22 +49,10 @@ LeaseTable::LeaseTable(const LeaseOptions& opts,
                        telemetry::MetricsRegistry* registry)
     : ttl_(opts.ttl_ticks),
       grace_(opts.grace),
+      scan_period_(std::max<std::uint64_t>(1, (opts.ttl_ticks + opts.grace) / 16)),
       clock_(opts.clock != nullptr ? opts.clock : &telemetry::trace_ticks),
       release_guard_(opts.release_guard),
       registry_(registry) {
-  const std::uint64_t n =
-      pow2_at_least(opts.table_shards == 0 ? 1 : opts.table_shards);
-  shard_mask_ = n - 1;
-  shards_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    auto s = std::make_unique<Shard>();
-    s->buckets.assign(kInitialBuckets, kNil);
-    for (auto& level : s->wheel) {
-      for (auto& slot : level) slot = kNil;
-    }
-    for (auto& c : s->cursor) c = 0;
-    shards_.push_back(std::move(s));
-  }
   if (registry_ != nullptr) {
     ctr_opened_ = registry_->counter("lease.opened");
     ctr_closed_ = registry_->counter("lease.closed");
@@ -59,342 +64,205 @@ LeaseTable::LeaseTable(const LeaseOptions& opts,
 }
 
 Heartbeat& LeaseTable::register_thread() {
-  std::lock_guard<SimMutex> lock(hb_mu_);
-  heartbeats_.push_back(std::make_unique<Heartbeat>());
-  return *heartbeats_.back();
+  LOREN_SIM_POINT("lease.register");
+  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  if (id >= 0xFFFFFFFFu) throw std::length_error("LeaseTable: heartbeat ids exhausted");
+  Heartbeat& hb = heartbeats_.at(id);
+  hb.id = static_cast<std::uint32_t>(id);
+  return hb;
 }
 
-LeaseTable::Shard& LeaseTable::shard_for(sim::Name name) {
-  return *shards_[(mix_name(name) >> 48) & shard_mask_];
-}
-
-const LeaseTable::Shard& LeaseTable::shard_for(sim::Name name) const {
-  return *shards_[(mix_name(name) >> 48) & shard_mask_];
-}
-
-std::uint32_t LeaseTable::find_locked(Shard& s, sim::Name name) const {
-  const std::uint64_t b = mix_name(name) & (s.buckets.size() - 1);
-  for (std::uint32_t i = s.buckets[b]; i != kNil; i = s.records[i].hnext) {
-    if (s.records[i].name == name) return i;
+void LeaseTable::tally(std::atomic<std::uint64_t>* own,
+                       std::atomic<std::uint64_t>& anon) {
+  if (own != nullptr) {
+    bump(*own);
+    return;
   }
-  return kNil;
+  LOREN_SIM_POINT("lease.tally");
+  anon.fetch_add(1, std::memory_order_relaxed);  // mo:relaxed-ok(holderless tally)
 }
 
-void LeaseTable::unlink_locked(Shard& s, std::uint32_t idx) {
-  const std::uint64_t b =
-      mix_name(s.records[idx].name) & (s.buckets.size() - 1);
-  std::uint32_t* p = &s.buckets[b];
-  while (*p != idx) p = &s.records[*p].hnext;
-  *p = s.records[idx].hnext;
-  s.records[idx].hnext = kNil;
-}
-
-std::uint32_t LeaseTable::alloc_record_locked(Shard& s) {
-  if (s.live_count >= s.buckets.size()) {
-    // Rehash to double. Only map-linked records (live == true) move; dead
-    // records waiting for their lazy wheel sweep are not in any chain.
-    std::vector<std::uint32_t> nb(s.buckets.size() * 2, kNil);
-    for (std::uint32_t i = 0; i < s.records.size(); ++i) {
-      Record& r = s.records[i];
-      if (!r.live) continue;
-      const std::uint64_t b = mix_name(r.name) & (nb.size() - 1);
-      r.hnext = nb[b];
-      nb[b] = i;
-    }
-    s.buckets.swap(nb);
-  }
-  std::uint32_t idx;
-  if (s.free_head != kNil) {
-    idx = s.free_head;
-    s.free_head = s.records[idx].wnext;
-    s.records[idx].wnext = kNil;
-  } else {
-    idx = static_cast<std::uint32_t>(s.records.size());
-    s.records.emplace_back();
-  }
-  return idx;
-}
-
-void LeaseTable::wheel_insert_locked(Shard& s, std::uint32_t idx,
-                                     std::uint64_t due,
-                                     std::uint64_t now_ticks) {
-  if (due <= now_ticks) due = now_ticks + 1;
-  const std::uint64_t delta = due - now_ticks;
-  // Smallest level whose span (64^(level+1) ticks) covers the delta; far
-  // deadlines saturate at the top level and cascade as they approach.
-  // delta >= 64^level at the chosen level, which guarantees the bucket is
-  // strictly ahead of that level's cursor — an armed entry can never be
-  // inserted behind the sweep.
-  unsigned level = 0;
-  while (level + 1 < kWheelLevels &&
-         (delta >> (kWheelBits * (level + 1))) != 0) {
-    ++level;
-  }
-  const std::uint64_t bucket = due >> (kWheelBits * level);
-  const auto slot = static_cast<std::uint32_t>(bucket & (kWheelSlots - 1));
-  s.records[idx].wnext = s.wheel[level][slot];
-  s.wheel[level][slot] = idx;
-}
-
-std::uint64_t LeaseTable::effective_deadline_locked(const Record& rec) const {
-  std::uint64_t hb_deadline = 0;
-  if (rec.hb != nullptr) {
-    // mo:relaxed-ok(single-writer heartbeat stamp; a stale read only
-    // delays expiry by one reap pass, the max() below can't go early)
-    const std::uint64_t beat = rec.hb->last.load(std::memory_order_relaxed);
-    if (beat != 0) hb_deadline = beat + ttl_;
-  }
-  return std::max(rec.deadline, hb_deadline) + grace_;
-}
-
-void LeaseTable::advance_locked(Shard& s, std::uint64_t now_ticks,
-                                std::vector<sim::Name>& out,
-                                std::vector<std::uint64_t>& late) {
-  for (unsigned level = 0; level < kWheelLevels; ++level) {
-    const unsigned shift = kWheelBits * level;
-    const std::uint64_t now_b = now_ticks >> shift;
-    const std::uint64_t cur = s.cursor[level];
-    if (now_b <= cur) continue;
-    const std::uint64_t steps = now_b - cur;
-    // A jump past a whole revolution visits each slot exactly once; the
-    // modular indices would only repeat. Bounds a pass at
-    // kWheelLevels * kWheelSlots slot drains regardless of clock jumps.
-    const std::uint64_t nslots = steps >= kWheelSlots ? kWheelSlots : steps;
-    for (std::uint64_t k = 1; k <= nslots; ++k) {
-      const auto slot =
-          static_cast<std::uint32_t>((cur + k) & (kWheelSlots - 1));
-      std::uint32_t i = s.wheel[level][slot];
-      s.wheel[level][slot] = kNil;
-      while (i != kNil) {
-        const std::uint32_t next = s.records[i].wnext;
-        Record& r = s.records[i];
-        r.wnext = kNil;
-        if (!r.live) {
-          // Lazily deleted (closed): the wheel entry was its last ref.
-          r.wnext = s.free_head;
-          s.free_head = i;
-        } else if (const std::uint64_t eff = effective_deadline_locked(r);
-                   eff > now_ticks) {
-          // Renewed (explicitly or via heartbeat): re-arm at the fresher
-          // deadline. This exactness check is what makes early expiry
-          // impossible — the wheel position is only a visit time.
-          wheel_insert_locked(s, i, eff, now_ticks);
-        } else {
-          unlink_locked(s, i);
-          r.live = false;
-          --s.live_count;
-          ++s.expired;
-          out.push_back(r.name);
-          late.push_back(now_ticks - eff);
-          r.wnext = s.free_head;
-          s.free_head = i;
-        }
-        i = next;
-      }
-    }
-    s.cursor[level] = now_b;
-  }
-}
-
-std::size_t LeaseTable::finish_reap(const std::vector<sim::Name>& names,
-                                    const std::vector<std::uint64_t>& late,
-                                    telemetry::MetricsRegistry::ThreadStripe* stripe) {
-  std::size_t reclaimed = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (stripe != nullptr) {
-      stripe->add(ctr_expired_);
-      stripe->record(hist_reap_late_, late[i]);
-    }
-    LOREN_SIM_POINT("lease.expire");
-    if (reclaim_ != nullptr && reclaim_(reclaim_ctx_, names[i])) ++reclaimed;
-  }
-  return reclaimed;
+bool LeaseTable::trip(const Heartbeat* hb) {
+  tally(hb != nullptr ? &hb->guard_trips : nullptr, anon_trips_);
+  return false;
 }
 
 void LeaseTable::open(sim::Name name, std::uint64_t now_ticks,
-                      const Heartbeat* hb, telemetry::MetricsRegistry::ThreadStripe* stripe) {
+                      const Heartbeat* hb,
+                      telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  Cell& c = cells_.at(index_of(name));
+  // The cell is dead (its last lease closed or expired) and dead words
+  // are never written by anyone else, so a load and a store suffice.
+  const std::uint64_t w = c.owner.load(std::memory_order_relaxed);  // mo:relaxed-ok(dead word, no other writer)
+  c.deadline.store(now_ticks + ttl_, std::memory_order_relaxed);
   LOREN_SIM_POINT("lease.open");
-  Shard& s = shard_for(name);
-  {
-    std::lock_guard<SimMutex> lock(s.mu);
-    const std::uint32_t idx = alloc_record_locked(s);
-    Record& r = s.records[idx];
-    r.name = name;
-    r.deadline = now_ticks + ttl_;
-    r.hb = hb;
-    r.live = true;
-    const std::uint64_t b = mix_name(name) & (s.buckets.size() - 1);
-    r.hnext = s.buckets[b];
-    s.buckets[b] = idx;
-    ++s.live_count;
-    ++s.opened;
-    wheel_insert_locked(s, idx, r.deadline + grace_, now_ticks);
-  }
+  c.owner.store(next_word(w, kLive, holder_bits(hb)), std::memory_order_release);
+  tally(hb != nullptr ? &hb->opened : nullptr, anon_opened_);
   if (stripe != nullptr) stripe->add(ctr_opened_);
 }
 
 bool LeaseTable::close(sim::Name name, const Heartbeat* hb,
                        telemetry::MetricsRegistry::ThreadStripe* stripe) {
-  LOREN_SIM_POINT("lease.close");
-  Shard& s = shard_for(name);
-  bool ok;
-  {
-    std::lock_guard<SimMutex> lock(s.mu);
-    const std::uint32_t idx = find_locked(s, name);
-    if (idx == kNil ||
-        (s.records[idx].hb != nullptr && s.records[idx].hb != hb)) {
-      // The reaper won — the cell was reclaimed, and if the name bits
-      // were already reissued the lease we found belongs to a *different*
-      // holder (the hb mismatch). Either way this close must not free
-      // the cell.
-      ++s.guard_trips;
-      ok = false;
-    } else {
-      unlink_locked(s, idx);
-      s.records[idx].live = false;  // the wheel recycles it lazily
-      --s.live_count;
-      ++s.closed;
-      ok = true;
+  Cell* c = cells_.find(index_of(name));
+  bool ok = false;
+  if (c != nullptr) {
+    std::uint64_t w = c->owner.load(std::memory_order_acquire);
+    LOREN_SIM_POINT("lease.close");
+    // A failed CAS reloads w: the reaper expired it (dead) or, for a
+    // holderless lease, someone renewed it (re-check and retry).
+    while (owned_by(w, hb) &&
+           !c->owner.compare_exchange_weak(w, next_word(w, 0, 0),
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
     }
+    ok = owned_by(w, hb);
   }
+  // Not ok: the reaper won — the cell was reclaimed, and if the name
+  // bits were already reissued the live lease belongs to a *different*
+  // holder. Either way this close must not free the cell.
+  if (!ok) trip(hb);
   if (stripe != nullptr) stripe->add(ok ? ctr_closed_ : ctr_guard_trips_);
   return ok;
+}
+
+bool LeaseTable::refresh(sim::Name name, std::uint64_t now_ticks,
+                         const Heartbeat* hb, bool rebind) {
+  Cell* c = cells_.find(index_of(name));
+  if (c == nullptr) return trip(hb);
+  std::uint64_t w = c->owner.load(std::memory_order_acquire);
+  if (!owned_by(w, hb)) return trip(hb);
+  // Monotone push: if the lease was reaped and reissued since w was
+  // read, this can only extend the new holder's deadline, never cut it.
+  const std::uint64_t due = now_ticks + ttl_;
+  std::uint64_t d = c->deadline.load(std::memory_order_relaxed);
+  LOREN_SIM_POINT(rebind ? "lease.rebind" : "lease.renew");
+  while (d < due && !c->deadline.compare_exchange_weak(
+                        d, due, std::memory_order_relaxed)) {
+  }
+  // The version bump makes a reaper that read the old deadline fail its
+  // expiry CAS; a failed CAS reloads w: the reaper (or another renewer of
+  // a holderless lease) moved first — re-check ownership and retry.
+  while (owned_by(w, hb) &&
+         !c->owner.compare_exchange_weak(
+             w, next_word(w, kLive, rebind ? holder_bits(hb) : w & kHolderMask),
+             std::memory_order_acq_rel, std::memory_order_acquire)) {
+  }
+  return owned_by(w, hb) || trip(hb);
 }
 
 bool LeaseTable::renew(sim::Name name, std::uint64_t now_ticks,
                        const Heartbeat* hb,
                        telemetry::MetricsRegistry::ThreadStripe* stripe) {
-  LOREN_SIM_POINT("lease.renew");
-  Shard& s = shard_for(name);
-  bool ok;
-  {
-    std::lock_guard<SimMutex> lock(s.mu);
-    const std::uint32_t idx = find_locked(s, name);
-    if (idx == kNil ||
-        (s.records[idx].hb != nullptr && s.records[idx].hb != hb)) {
-      ++s.guard_trips;
-      ok = false;
-    } else {
-      // Lazy re-arm: only the deadline moves; the wheel entry re-checks
-      // the effective deadline when its old visit time comes up.
-      s.records[idx].deadline = now_ticks + ttl_;
-      ok = true;
-    }
-  }
+  const bool ok = refresh(name, now_ticks, hb, /*rebind=*/false);
   if (stripe != nullptr) stripe->add(ok ? ctr_renewals_ : ctr_guard_trips_);
   return ok;
 }
 
 bool LeaseTable::rebind(sim::Name name, std::uint64_t now_ticks,
                         const Heartbeat* hb) {
-  Shard& s = shard_for(name);
-  std::lock_guard<SimMutex> lock(s.mu);
-  const std::uint32_t idx = find_locked(s, name);
-  if (idx == kNil ||
-      (s.records[idx].hb != nullptr && s.records[idx].hb != hb)) {
-    // Gone (reaped) or bound to a different live holder: not stealable.
-    ++s.guard_trips;
-    return false;
-  }
-  s.records[idx].hb = hb;
-  s.records[idx].deadline = now_ticks + ttl_;
-  return true;
+  return refresh(name, now_ticks, hb, /*rebind=*/true);
 }
 
 bool LeaseTable::validate(sim::Name name, const Heartbeat* hb) {
-  Shard& s = shard_for(name);
-  std::lock_guard<SimMutex> lock(s.mu);
-  const std::uint32_t idx = find_locked(s, name);
-  if (idx != kNil && s.records[idx].hb == hb) return true;
-  ++s.guard_trips;
-  return false;
+  const Cell* c = cells_.find(index_of(name));
+  if (c != nullptr) {
+    const std::uint64_t w = c->owner.load(std::memory_order_acquire);
+    if ((w & kLive) != 0 && (w & kHolderMask) == holder_bits(hb)) return true;
+  }
+  return trip(hb);
+}
+
+std::size_t LeaseTable::scan(std::uint64_t now_ticks,
+                             telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  std::size_t reclaimed = 0;
+  cells_.for_each([&](std::uint64_t index, Cell& c) {
+    std::uint64_t w = c.owner.load(std::memory_order_acquire);
+    if ((w & kLive) == 0) return;
+    std::uint64_t hb_deadline = 0;
+    if (const std::uint64_t h = (w & kHolderMask) >> kHolderShift; h != 0) {
+      const Heartbeat* hb = heartbeats_.find(h - 1);
+      // mo:relaxed-ok(single-writer heartbeat stamp; a stale read only
+      // delays expiry, the max() below can't go early)
+      const std::uint64_t beat = hb->last.load(std::memory_order_relaxed);
+      if (beat != 0) hb_deadline = beat + ttl_;
+    }
+    const std::uint64_t eff =
+        std::max(c.deadline.load(std::memory_order_relaxed), hb_deadline) +
+        grace_;
+    if (eff > now_ticks) return;
+    LOREN_SIM_POINT("lease.expire");
+    // Fails iff a holder op (close, renew, rebind) moved first.
+    if (!c.owner.compare_exchange_strong(w, next_word(w, 0, 0),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      return;
+    }
+    expired_.fetch_add(1, std::memory_order_relaxed);
+    if (stripe != nullptr) {
+      stripe->add(ctr_expired_);
+      stripe->record(hist_reap_late_, now_ticks - eff);
+    }
+    if (reclaim_ != nullptr &&
+        reclaim_(reclaim_ctx_, static_cast<sim::Name>(index))) {
+      ++reclaimed;
+    }
+  });
+  return reclaimed;
 }
 
 std::size_t LeaseTable::reap(std::uint64_t now_ticks,
                              telemetry::MetricsRegistry::ThreadStripe* stripe) {
   LOREN_SIM_POINT("lease.reap");
-  std::size_t reclaimed = 0;
-  std::vector<sim::Name> names;
-  std::vector<std::uint64_t> late;
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    names.clear();
-    late.clear();
-    {
-      std::lock_guard<SimMutex> lock(s.mu);
-      advance_locked(s, now_ticks, names, late);
-    }
-    reclaimed += finish_reap(names, late, stripe);
-  }
-  return reclaimed;
+  return scan(now_ticks, stripe);
 }
 
 std::size_t LeaseTable::try_reap(std::uint64_t now_ticks,
                                  telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  std::uint64_t due = next_scan_.load(std::memory_order_relaxed);
+  if (now_ticks < due) return 0;
   LOREN_SIM_POINT("lease.reap");
-  std::size_t reclaimed = 0;
-  std::vector<sim::Name> names;
-  std::vector<std::uint64_t> late;
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    if (!s.mu.try_lock()) continue;  // someone else is reaping this shard
-    names.clear();
-    late.clear();
-    advance_locked(s, now_ticks, names, late);
-    s.mu.unlock();
-    reclaimed += finish_reap(names, late, stripe);
+  // One claimant per period: the loser's scan would find what the
+  // winner's finds.
+  if (!next_scan_.compare_exchange_strong(due, now_ticks + scan_period_,
+                                          std::memory_order_relaxed)) {
+    return 0;
   }
-  return reclaimed;
+  return scan(now_ticks, stripe);
 }
 
 void LeaseTable::clear() {
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    std::lock_guard<SimMutex> lock(s.mu);
-    std::fill(s.buckets.begin(), s.buckets.end(), kNil);
-    s.records.clear();
-    s.free_head = kNil;
-    s.live_count = 0;
-    for (auto& level : s.wheel) {
-      for (auto& slot : level) slot = kNil;
-    }
-    for (auto& c : s.cursor) c = 0;
-  }
+  cells_.for_each([](std::uint64_t, Cell& c) {
+    const std::uint64_t w = c.owner.load(std::memory_order_relaxed);  // mo:relaxed-ok(quiescent reset)
+    if ((w & kLive) != 0) c.owner.store(next_word(w, 0, 0), std::memory_order_release);
+  });
 }
 
 std::uint64_t LeaseTable::leases_live() const {
   std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    std::lock_guard<SimMutex> lock(sp->mu);
-    total += sp->live_count;
-  }
+  cells_.for_each([&](std::uint64_t, const Cell& c) {
+    total += c.owner.load(std::memory_order_acquire) & kLive;
+  });
   return total;
 }
 
 std::uint64_t LeaseTable::opened() const {
-  std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    std::lock_guard<SimMutex> lock(sp->mu);
-    total += sp->opened;
-  }
+  // mo:relaxed-ok(holderless tally; exact under quiescence)
+  std::uint64_t total = anon_opened_.load(std::memory_order_relaxed);
+  heartbeats_.for_each([&](std::uint64_t, const Heartbeat& hb) {
+    total += hb.opened.load(std::memory_order_relaxed);
+  });
   return total;
 }
 
 std::uint64_t LeaseTable::expired() const {
-  std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    std::lock_guard<SimMutex> lock(sp->mu);
-    total += sp->expired;
-  }
-  return total;
+  return expired_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t LeaseTable::guard_trips() const {
-  std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    std::lock_guard<SimMutex> lock(sp->mu);
-    total += sp->guard_trips;
-  }
+  std::uint64_t total = anon_trips_.load(std::memory_order_relaxed);
+  heartbeats_.for_each([&](std::uint64_t, const Heartbeat& hb) {
+    total += hb.guard_trips.load(std::memory_order_relaxed);
+  });
   return total;
 }
 

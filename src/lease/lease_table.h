@@ -11,30 +11,33 @@
 // under holder death — the liveness gap the renaming papers leave to the
 // deployment (see docs/leases.md for the state machine and invariants).
 //
-// Structure: the table is sharded by name hash; each shard is one
-// cacheline-aligned unit of {SimMutex, intrusive hash map name -> record,
-// hierarchical timer wheel, counters}. All record state is mutated under
-// the shard lock, so records need no atomics; the only lock-free word in
-// the subsystem is the per-thread Heartbeat stamp. The timer wheel is the
-// classic hashed hierarchical design (4 levels x 64 slots): insertion
-// O(1) into the level whose span covers the remaining delta, advancement
-// bounded at 64 slots per level per pass, entries cascading toward level
-// 0 as their deadline approaches. Expiry checks are exact at the moment
-// of expiry — the wheel only schedules *examination* times, and a lease
-// whose effective deadline moved (renew or heartbeat) is re-armed, never
-// expired early. A lease can therefore expire late (by up to one reap
-// poll interval), but never early: "zero false expiries of live renewing
-// holders" is structural, not probabilistic.
+// Structure: renaming exists to make names dense small integers, so the
+// lease state needs no map. The table is a flat array of per-name cells,
+// indexed by the name with the elastic generation stamp (bits >=
+// kNameIndexBits) masked off, in chunks created the first time a name in
+// their range is leased. Each cell is an owner word {live bit, holder id,
+// version} plus an exact 64-bit deadline:
+//   * open   — a deadline store, then a release store of the owner word;
+//   * close  — one CAS of the owner word to dead;
+//   * renew / rebind — a monotone deadline push, then one CAS that bumps
+//     the version (rebind also installs the new holder id);
+//   * expire — the reaper's CAS of the owner word to dead, taken only
+//     when max(deadline, heartbeat + ttl) + grace <= now.
+// The owner-word CAS orders a holder's op against the reaper: every
+// transition bumps the version, so whichever CAS lands second fails and
+// re-reads the word. Exactly one of {holder's close(), reaper's expiry}
+// moves a live word to dead. The services free an arena cell only after
+// winning the close, and the reaper frees it only after winning the
+// expiry — so a revived holder's late release is *detected* (close
+// fails, the service reports kLeaseExpired / a guard trip), never applied
+// to a cell that may already be someone else's. Expiry checks are exact
+// at the reaper's read, so a lease can expire late but never early.
 //
-// Close vs reap linearization: the shard lock is the arbiter. Exactly one
-// of {holder's close(), reaper's expiry} removes the lease from the map;
-// whoever loses finds it absent. The services free an arena cell only
-// after winning the close, and the reaper frees it only after winning the
-// expiry — so a revived holder's late release is *detected* (close fails,
-// the service reports kLeaseExpired / a guard trip), never applied to a
-// cell that may already be someone else's. The cell itself stays taken
-// from expiry until the reclaim callback runs, so there is no window in
-// which a third party could double-grant it.
+// The reaper is a scan of the allocated cells. reap() scans on every
+// call; try_reap() — the op-path poll — scans only when the shared
+// next-scan tick has passed, claiming it by CAS, so op traffic scans
+// once per scan period ((ttl + grace) / 16) and an abandoned lease is
+// expired at most one scan period after deadline + grace.
 //
 // Clock domains: ticks come from an injectable clock (LeaseOptions::clock),
 // defaulting to telemetry::trace_ticks() — the TSC in production and the
@@ -44,10 +47,8 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "platform/cacheline.h"
 #include "platform/sim_point.h"
@@ -57,19 +58,34 @@
 
 namespace loren::lease {
 
+/// Name bits the table indexes by. The elastic service's debug release
+/// guard stamps its generation at bit 48 and above (kGenStampShift); a
+/// name and its stamped form share one lease cell.
+inline constexpr unsigned kNameIndexBits = 48;
+
 /// One thread's freshness stamp for one service: every op the thread
 /// performs against the service relaxed-stores the current tick here,
 /// which renews *all* of that thread's leases at once (the reaper max()es
 /// the stamp into every effective deadline). Nodes are owned by the
-/// LeaseTable and live as long as it does, so a lease may safely point at
-/// its holder's cell even after the holder thread exits.
+/// LeaseTable and live as long as it does, so a lease may safely name its
+/// holder's heartbeat even after the holder thread exits. A node is presented
+/// to the table only by the thread that registered it, which is what
+/// makes the tallies below single-writer.
 struct alignas(kCacheLine) Heartbeat {
   // mo: relaxed -- single-writer freshness stamp: only the owning thread
-  // stores; the reaper reads under the shard lock and tolerates a stale
-  // value (staleness can only delay an expiry by one reap pass, never
-  // cause a false one, because the effective deadline is the max of the
-  // stamp-derived deadline and the lease's own).
+  // stores; the reaper tolerates a stale value (staleness can only delay
+  // an expiry by one scan, never cause a false one, because the effective
+  // deadline is the max of the stamp-derived deadline and the lease's own).
   std::atomic<std::uint64_t> last{0};
+  // mo: relaxed -- single-writer tally of leases this holder opened;
+  // opened() sums it, exact under quiescence. Mutable: the table counts
+  // through the const node its callers present.
+  mutable std::atomic<std::uint64_t> opened{0};
+  // mo: relaxed -- single-writer tally of this holder's guard trips;
+  // guard_trips() sums it, exact under quiescence.
+  mutable std::atomic<std::uint64_t> guard_trips{0};
+  /// Dense registration id, never reused (the owner word stores id + 1).
+  std::uint32_t id = 0;
 };
 
 struct LeaseOptions {
@@ -82,8 +98,6 @@ struct LeaseOptions {
   /// Tick source; nullptr selects telemetry::trace_ticks (TSC in
   /// production, the engine step counter under -DLOREN_SIM when bound).
   std::uint64_t (*clock)() = nullptr;
-  /// Lock shards (rounded up to a power of two).
-  std::uint64_t table_shards = 8;
   /// Test knob (default on): when off, the services *ignore* a failed
   /// lease close and release the arena cell anyway — the unguarded
   /// behavior whose ABA corruption scenario_lease_test pins as a real,
@@ -94,9 +108,10 @@ struct LeaseOptions {
 class LeaseTable {
  public:
   /// Frees the reclaimed cell back into the owning service's arena.
-  /// Called *outside* any shard lock; returns true iff the cell was
-  /// actually freed (false indicates the name no longer decodes to a
-  /// live cell, e.g. an elastic generation stamp mismatch).
+  /// Called after the reaper's expiry CAS won; returns true iff the cell
+  /// was actually freed (false indicates the name no longer decodes to a
+  /// live cell). The name passed is the cell index: any elastic
+  /// generation stamp is not reproduced.
   using ReclaimFn = bool (*)(void* ctx, sim::Name name);
 
   LeaseTable(const LeaseOptions& opts, telemetry::MetricsRegistry* registry);
@@ -110,17 +125,19 @@ class LeaseTable {
   }
 
   /// One-time per thread; callers cache the node. Nodes are never
-  /// deregistered (same contract as RegisteredCounter).
+  /// deregistered and ids are never reused (same contract as
+  /// RegisteredCounter).
   Heartbeat& register_thread();
 
   [[nodiscard]] std::uint64_t now() const { return clock_(); }
   [[nodiscard]] std::uint64_t ttl() const { return ttl_; }
   [[nodiscard]] std::uint64_t grace_ticks() const { return grace_; }
+  [[nodiscard]] std::uint64_t scan_period() const { return scan_period_; }
   [[nodiscard]] bool release_guard() const { return release_guard_; }
 
   /// Registers a lease on `name` held by `hb` (nullable: a lease with no
   /// heartbeat relies on its deadline alone). Caller has just won the
-  /// arena cell, so `name` is not in the table.
+  /// arena cell, so `name` has no live lease.
   void open(sim::Name name, std::uint64_t now_ticks, const Heartbeat* hb,
             telemetry::MetricsRegistry::ThreadStripe* stripe);
 
@@ -157,91 +174,147 @@ class LeaseTable {
   /// A mismatch is counted as a guard trip.
   [[nodiscard]] bool validate(sim::Name name, const Heartbeat* hb);
 
+  /// Whether the op-path poll would scan now: one relaxed load, so the
+  /// services can skip try_reap (and any pin it needs) between scans.
+  [[nodiscard]] bool scan_due(std::uint64_t now_ticks) const {
+    // mo:relaxed-ok(a hint: try_reap claims the scan with a CAS)
+    return now_ticks >= next_scan_.load(std::memory_order_relaxed);
+  }
+
   /// Expires every stale lease and reclaims its cell via the callback.
-  /// Returns the number of cells reclaimed. reap() takes every shard
-  /// lock in turn; try_reap() skips shards whose lock is busy (the
-  /// sampled op-path poll — another thread is already reaping there).
-  std::size_t reap(std::uint64_t now_ticks, telemetry::MetricsRegistry::ThreadStripe* stripe);
+  /// Returns the number of cells reclaimed. reap() always scans;
+  /// try_reap() scans only if it claims the next scan period (one CAS),
+  /// so concurrent pollers scan once per period between them.
+  std::size_t reap(std::uint64_t now_ticks,
+                   telemetry::MetricsRegistry::ThreadStripe* stripe);
   std::size_t try_reap(std::uint64_t now_ticks,
                        telemetry::MetricsRegistry::ThreadStripe* stripe);
 
   /// Drops every lease without reclaiming (the service reset path: the
-  /// arena epoch bump already freed every cell).
+  /// arena epoch bump already freed every cell). Requires quiescence.
   void clear();
 
-  // Exact under quiescence (each addend is read under its shard lock).
+  // Exact under quiescence.
   [[nodiscard]] std::uint64_t leases_live() const;
   [[nodiscard]] std::uint64_t opened() const;
   [[nodiscard]] std::uint64_t expired() const;
   [[nodiscard]] std::uint64_t guard_trips() const;
 
  private:
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr unsigned kWheelBits = 6;
-  static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;
-  static constexpr unsigned kWheelLevels = 4;
+  /// A lazily grown array indexed by a dense integer below 2^63. Chunk k
+  /// holds 2^(kBaseBits + k) elements and covers indices
+  /// [2^kBaseBits * (2^k - 1), 2^kBaseBits * (2^(k+1) - 1)), so the chunk
+  /// table is a fixed array of pointers and a chunk is created — zeroed, by
+  /// CAS — the first time an index lands in it. Elements never move, and
+  /// memory is proportional to the largest index used.
+  template <class T, unsigned kBaseBits>
+  class LazyDir {
+   public:
+    LazyDir() = default;
+    LazyDir(const LazyDir&) = delete;
+    LazyDir& operator=(const LazyDir&) = delete;
+    ~LazyDir() {
+      for (auto& c : chunks_) {
+        delete[] c.load(std::memory_order_relaxed);  // mo:relaxed-ok(dtor: no concurrent access)
+      }
+    }
 
-  /// All fields mutated under the owning shard's lock — plain words.
-  struct Record {
-    sim::Name name = 0;
-    std::uint64_t deadline = 0;  // open/renew tick + ttl (grace excluded)
-    const Heartbeat* hb = nullptr;
-    std::uint32_t hnext = kNil;  // hash-chain link
-    std::uint32_t wnext = kNil;  // wheel-slot chain link
-    bool live = false;           // false = closed, awaiting lazy wheel sweep
+    /// Element i, or nullptr if its chunk was never created.
+    [[nodiscard]] T* find(std::uint64_t i) const {
+      const unsigned k = chunk_of(i);
+      T* c = chunks_[k].load(std::memory_order_acquire);
+      return c == nullptr ? nullptr : c + (i - first_of(k));
+    }
+
+    /// Element i, creating its chunk on first use.
+    T& at(std::uint64_t i) {
+      const unsigned k = chunk_of(i);
+      T* c = chunks_[k].load(std::memory_order_acquire);
+      if (c == nullptr) {
+        T* fresh = new T[std::uint64_t{1} << (kBaseBits + k)]();
+        LOREN_SIM_POINT("lease.grow");
+        if (chunks_[k].compare_exchange_strong(c, fresh,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+          c = fresh;
+        } else {
+          delete[] fresh;  // another thread created it first
+        }
+      }
+      return c[i - first_of(k)];
+    }
+
+    /// Calls f(index, element) for every element of every created chunk.
+    template <class F>
+    void for_each(F&& f) const {
+      for (unsigned k = 0; k < kChunks; ++k) {
+        T* c = chunks_[k].load(std::memory_order_acquire);
+        if (c == nullptr) continue;
+        const std::uint64_t n = std::uint64_t{1} << (kBaseBits + k);
+        for (std::uint64_t j = 0; j < n; ++j) f(first_of(k) + j, c[j]);
+      }
+    }
+
+   private:
+    static constexpr unsigned kChunks = 64 - kBaseBits;
+    static unsigned chunk_of(std::uint64_t i) {
+      return static_cast<unsigned>(std::bit_width((i >> kBaseBits) + 1)) - 1;
+    }
+    static std::uint64_t first_of(unsigned k) {
+      return ((std::uint64_t{1} << k) - 1) << kBaseBits;
+    }
+
+    // mo: acquire, release -- chunk publication: at() CAS-installs a zeroed
+    // chunk (acq_rel) and every reader acquires before touching elements.
+    std::atomic<T*> chunks_[kChunks] = {};
   };
 
-  struct alignas(kCacheLine) Shard {
-    mutable SimMutex mu;
-    std::vector<std::uint32_t> buckets;  // hash heads (power-of-two size)
-    std::vector<Record> records;
-    std::uint32_t free_head = kNil;  // freelist through Record::wnext
-    std::uint32_t live_count = 0;
-    // Timer wheel: slot chains per level + per-level cursor (the last
-    // fully processed absolute bucket index at that level's granularity).
-    std::uint32_t wheel[kWheelLevels][kWheelSlots];
-    std::uint64_t cursor[kWheelLevels];
-    // Monotonic tallies (exact: every transition happens under mu).
-    std::uint64_t opened = 0;
-    std::uint64_t closed = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t guard_trips = 0;
+  struct Cell {
+    // mo: acquire, release -- the owner word {live, holder, version}:
+    // every transition is a release store (open) or an acq_rel CAS;
+    // readers acquire it before trusting the deadline.
+    std::atomic<std::uint64_t> owner{0};
+    // mo: relaxed -- exact deadline; published by the owner-word release
+    // that follows every write of it.
+    std::atomic<std::uint64_t> deadline{0};
   };
 
-  Shard& shard_for(sim::Name name);
-  const Shard& shard_for(sim::Name name) const;
-  // All of the below require the shard's lock held.
-  std::uint32_t find_locked(Shard& s, sim::Name name) const;
-  void unlink_locked(Shard& s, std::uint32_t idx);
-  std::uint32_t alloc_record_locked(Shard& s);
-  void wheel_insert_locked(Shard& s, std::uint32_t idx, std::uint64_t due,
-                           std::uint64_t now_ticks);
-  [[nodiscard]] std::uint64_t effective_deadline_locked(
-      const Record& rec) const;
-  /// Advances the shard's wheel to now, expiring stale leases; appends
-  /// the reclaimable names to `out` and their lateness to `late`.
-  void advance_locked(Shard& s, std::uint64_t now_ticks,
-                      std::vector<sim::Name>& out,
-                      std::vector<std::uint64_t>& late);
-  /// Post-lock half of a reap pass: telemetry + reclaim callbacks for
-  /// the names advance_locked() expired. Runs outside every shard lock.
-  std::size_t finish_reap(const std::vector<sim::Name>& names,
-                          const std::vector<std::uint64_t>& late,
-                          telemetry::MetricsRegistry::ThreadStripe* stripe);
+  /// The renew/rebind body: a monotone deadline push, then the owner CAS.
+  bool refresh(sim::Name name, std::uint64_t now_ticks, const Heartbeat* hb,
+               bool rebind);
+  /// Counts one event on the caller's own heartbeat tally (`own`), or on
+  /// the shared `anon` tally when the caller is holderless (own null).
+  static void tally(std::atomic<std::uint64_t>* own,
+                    std::atomic<std::uint64_t>& anon);
+  /// Counts a guard trip against `hb` and returns false.
+  bool trip(const Heartbeat* hb);
+  std::size_t scan(std::uint64_t now_ticks,
+                   telemetry::MetricsRegistry::ThreadStripe* stripe);
 
   std::uint64_t ttl_;
   std::uint64_t grace_;
+  std::uint64_t scan_period_;
   std::uint64_t (*clock_)();
   bool release_guard_;
-  std::uint64_t shard_mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
   ReclaimFn reclaim_ = nullptr;
   void* reclaim_ctx_ = nullptr;
 
-  // Heartbeat registry (cold: one registration per thread per service).
-  SimMutex hb_mu_;  // sim:lock-ok(registration only; no sim points inside)
-  std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
+  LazyDir<Cell, 8> cells_;  // first chunk: 256 cells, one 4 KiB page
+  LazyDir<Heartbeat, 6> heartbeats_;
+
+  // mo: relaxed -- the op-path scan gate: it only elects who scans when;
+  // the scan itself synchronizes per cell through the owner words.
+  alignas(kCacheLine) std::atomic<std::uint64_t> next_scan_{0};
+  // mo: relaxed -- heartbeat id allocator; the chunk CAS publishes nodes.
+  alignas(kCacheLine) std::atomic<std::uint64_t> next_id_{0};
+  // mo: relaxed -- reaper-side expiry tally (a scan, never a holder op).
+  std::atomic<std::uint64_t> expired_{0};
+  // mo: relaxed -- tallies for holderless (null-heartbeat) callers only;
+  // the services always present a heartbeat.
+  std::atomic<std::uint64_t> anon_opened_{0};
+  // mo: relaxed -- same holderless-only contract as anon_opened_.
+  std::atomic<std::uint64_t> anon_trips_{0};
 
   // Telemetry ids (sink-mapped when no registry is attached).
   telemetry::MetricsRegistry* registry_;

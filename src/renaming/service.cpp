@@ -52,8 +52,6 @@ struct PerService {
   /// This thread's lease heartbeat cell (null until the first op under a
   /// leasing service; heap-owned by the LeaseTable, outlives the thread).
   loren::lease::Heartbeat* hb = nullptr;
-  /// Sampled reap-poll phase (see RenamingService::kLeasePollMask).
-  std::uint32_t lease_poll = 0;
 };
 
 struct ThreadCtx {
@@ -262,8 +260,7 @@ void RenamingService::flush_thread_state(void* payload) {
 }
 
 void RenamingService::lease_heartbeat(
-    lease::Heartbeat*& hb, std::uint32_t& poll, NameStash* st,
-    RegisteredCounter::Node& counter,
+    lease::Heartbeat*& hb, NameStash* st, RegisteredCounter::Node& counter,
     telemetry::MetricsRegistry::ThreadStripe& stripe) {
   if (hb == nullptr) hb = &leases_->register_thread();
   const std::uint64_t now = leases_->now();
@@ -288,7 +285,7 @@ void RenamingService::lease_heartbeat(
       }
     }
   }
-  if ((poll++ & kLeasePollMask) == 0) {
+  if (leases_->scan_due(now)) {
     const std::size_t reclaimed = leases_->try_reap(now, &stripe);
     if (reclaimed > 0) {
       RegisteredCounter::add(counter, -static_cast<std::int64_t>(reclaimed));
@@ -309,9 +306,8 @@ Name RenamingService::renew_lease(Name name) {
     per.counter = &live_.register_thread();
     per.stripe = &ins_.registry->stripe();
   }
-  lease_heartbeat(per.hb, per.lease_poll,
-                  options_.name_cache ? &per.stash : nullptr, *per.counter,
-                  *per.stripe);
+  lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                  *per.counter, *per.stripe);
   return leases_->renew(name, leases_->now(), per.hb, per.stripe) ? name
                                                           : kLeaseExpired;
 }
@@ -429,9 +425,8 @@ Name RenamingService::acquire() {
     per.stripe = &ins_.registry->stripe();
   }
   if (leases_ != nullptr) {
-    lease_heartbeat(per.hb, per.lease_poll,
-                    options_.name_cache ? &per.stash : nullptr, *per.counter,
-                    *per.stripe);
+    lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                    *per.counter, *per.stripe);
   }
   // Detailed mode: every (mask+1)-th op is the observed sample — one
   // rdtsc pair plus probe/lost-race accumulation into stack locals,
@@ -563,9 +558,8 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
     per.stripe = &ins_.registry->stripe();
   }
   if (leases_ != nullptr) {
-    lease_heartbeat(per.hb, per.lease_poll,
-                    options_.name_cache ? &per.stash : nullptr, *per.counter,
-                    *per.stripe);
+    lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                    *per.counter, *per.stripe);
   }
   const bool timed =
       ins_.detailed && ((per.op_tick++ & kLatencySampleMask) == 0);
@@ -703,9 +697,8 @@ std::uint64_t RenamingService::release_many(const Name* names,
     per.stripe = &ins_.registry->stripe();
   }
   if (leases_ != nullptr) {
-    lease_heartbeat(per.hb, per.lease_poll,
-                    options_.name_cache ? &per.stash : nullptr, *per.counter,
-                    *per.stripe);
+    lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                    *per.counter, *per.stripe);
   }
   if (!options_.name_cache) {
     return release_shared(names, count, *per.counter, per.stripe, per.hb);
@@ -764,9 +757,8 @@ bool RenamingService::release(Name name) {
       per.counter = &live_.register_thread();
       per.stripe = &ins_.registry->stripe();
     }
-    lease_heartbeat(per.hb, per.lease_poll,
-                    options_.name_cache ? &per.stash : nullptr, *per.counter,
-                    *per.stripe);
+    lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
+                    *per.counter, *per.stripe);
   }
   const bool timed =
       ins_.detailed && ((per.rel_tick++ & kLatencySampleMask) == 0);

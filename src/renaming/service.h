@@ -450,10 +450,10 @@ class RenamingService {
   /// Per-op lease prologue (called only when leasing is on): registers
   /// and stamps the calling thread's heartbeat, revalidates the stash
   /// after a self-detected stale gap (its names may have been reaped),
-  /// and runs the sampled try_reap poll. The hb/poll references are the
-  /// caller's per-thread per-service context fields.
-  void lease_heartbeat(lease::Heartbeat*& hb, std::uint32_t& poll,
-                       NameStash* st, RegisteredCounter::Node& counter,
+  /// and, once per scan period, the op-path try_reap poll. The hb
+  /// reference is the caller's per-thread per-service context field.
+  void lease_heartbeat(lease::Heartbeat*& hb, NameStash* st,
+                       RegisteredCounter::Node& counter,
                        telemetry::MetricsRegistry::ThreadStripe& stripe);
 
   /// LeaseTable::ReclaimFn: frees an expired name's cell back into its
@@ -524,11 +524,6 @@ class RenamingService {
   /// what keeps the leasing-off hot path at literally zero extra cost —
   /// one null check per op).
   std::unique_ptr<lease::LeaseTable> leases_;
-
-  /// Sampled op-path reap poll: every 64th op per thread attempts a
-  /// non-blocking try_reap, so expiry latency is bounded by op traffic
-  /// without a dedicated reaper thread.
-  static constexpr std::uint32_t kLeasePollMask = 63;
 };
 
 }  // namespace loren

@@ -10,9 +10,16 @@
 //   * heartbeat renewal — a holder that keeps stamping its heartbeat
 //     keeps every lease alive indefinitely; the moment it stops, the
 //     stale leases expire at stamp + ttl + grace;
-//   * wheel cascade math — deadlines spanning all four wheel levels
-//     (deltas around the 64 / 4096 / 262144 level boundaries) expire in
-//     deadline order across coarse clock jumps, each exactly once;
+//   * clock jumps — deadlines at deltas around 64 / 4096 / 262144 (the
+//     level boundaries of the timer wheel the table once used) expire
+//     exactly on time, and one coarse jump expires each exactly once;
+//   * op-path scan gate — try_reap scans at most once per scan period,
+//     never expires early, and is at most one period late;
+//   * heartbeat directory — holders registered across several directory
+//     chunks keep distinct identities, and the reaper resolves each one;
+//   * lock-free protocol under real threads (TSan) — holders racing a
+//     reaper on a fast clock: every expiry reclaimed exactly once, no
+//     holder op wins a lease the reaper already expired;
 //   * service integration (both services) — abandoned names are reaped
 //     back into the arena and become re-acquirable, a revived holder's
 //     late release is rejected, renew_lease reports kLeaseExpired.
@@ -26,7 +33,9 @@
 
 #include "elastic/elastic_service.h"
 #include "lease/lease_table.h"
+#include "platform/rng.h"
 #include "renaming/service.h"
+#include "test_seed.h"
 
 namespace loren {
 namespace {
@@ -232,6 +241,245 @@ TEST_F(LeaseUnit, ClearDropsEverythingWithoutReclaiming) {
   EXPECT_TRUE(rec.names.empty()) << "clear() must not reclaim cells";
 }
 
+TEST_F(LeaseUnit, TryReapScansOncePerPeriodAndIsAtMostOnePeriodLate) {
+  Reclaimed rec;
+  lease::LeaseTable t(opts_with(/*ttl=*/160, /*grace=*/32), nullptr);
+  t.set_reclaimer(&Reclaimed::sink, &rec);
+  const std::uint64_t period = t.scan_period();
+  ASSERT_EQ(period, (160u + 32u) / 16u);
+  g_now = 100;
+  t.open(1, t.now(), nullptr, nullptr);  // stale from 100 + 160 + 32 = 292
+  g_now = 101;
+  t.open(2, t.now(), nullptr, nullptr);  // stale from 293
+  // The first poll at 292 claims a scan and expires lease 1 only.
+  g_now = 292;
+  EXPECT_EQ(t.try_reap(t.now(), nullptr), 1u);
+  // Inside the same period no poll scans, though lease 2 is now stale.
+  for (g_now = 293; g_now < 292 + period; ++g_now) {
+    EXPECT_FALSE(t.scan_due(t.now()));
+    EXPECT_EQ(t.try_reap(t.now(), nullptr), 0u) << "scanned twice in a period";
+  }
+  EXPECT_EQ(t.leases_live(), 1u);
+  g_now = 292 + period;
+  EXPECT_EQ(t.try_reap(t.now(), nullptr), 1u);
+  EXPECT_EQ(t.leases_live(), 0u);
+
+  // Lateness bound under irregular polling: each lease dies no earlier
+  // than deadline + grace, and no later than the first poll at or after
+  // deadline + grace + one period.
+  Reclaimed late;
+  lease::LeaseTable u(opts_with(/*ttl=*/160, /*grace=*/32), nullptr);
+  u.set_reclaimer(&Reclaimed::sink, &late);
+  std::vector<std::uint64_t> stale_at;
+  for (Name n = 0; n < 16; ++n) {
+    g_now = 1000 + 37 * static_cast<std::uint64_t>(n);
+    u.open(n, u.now(), nullptr, nullptr);
+    stale_at.push_back(fake_now() + 160 + 32);
+  }
+  std::vector<std::uint64_t> died_at(stale_at.size(), 0);
+  Xoshiro256 rng(0x5CA9);
+  while (late.names.size() < stale_at.size()) {
+    g_now += 1 + rng.below(2 * period);
+    const std::size_t before = late.names.size();
+    u.try_reap(u.now(), nullptr);
+    for (std::size_t i = before; i < late.names.size(); ++i) {
+      died_at[static_cast<std::size_t>(late.names[i])] = fake_now();
+    }
+    for (std::size_t n = 0; n < stale_at.size(); ++n) {
+      if (fake_now() >= stale_at[n] + period) {
+        EXPECT_NE(died_at[n], 0u) << "lease " << n << " outlived a period";
+      }
+    }
+  }
+  for (std::size_t n = 0; n < stale_at.size(); ++n) {
+    EXPECT_GE(died_at[n], stale_at[n]) << "lease " << n << " expired early";
+  }
+}
+
+TEST_F(LeaseUnit, HeartbeatDirectoryKeepsHoldersDistinctAcrossChunks) {
+  // More holders than one directory chunk holds: every heartbeat must be
+  // its own node, and the reaper must resolve each lease to its own
+  // holder's stamp — only the holders that stopped stamping lose leases.
+  Reclaimed rec;
+  lease::LeaseTable t(opts_with(/*ttl=*/50), nullptr);
+  t.set_reclaimer(&Reclaimed::sink, &rec);
+  constexpr int kHolders = 300;
+  std::vector<lease::Heartbeat*> hbs;
+  std::set<const lease::Heartbeat*> nodes;
+  std::set<std::uint32_t> ids;
+  for (int i = 0; i < kHolders; ++i) {
+    lease::Heartbeat& hb = t.register_thread();
+    hb.last.store(fake_now(), std::memory_order_relaxed);
+    hbs.push_back(&hb);
+    nodes.insert(&hb);
+    ids.insert(hb.id);
+    t.open(i, t.now(), &hb, nullptr);
+  }
+  EXPECT_EQ(nodes.size(), static_cast<std::size_t>(kHolders));
+  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kHolders));
+  for (int i = 0; i < kHolders; ++i) {
+    EXPECT_TRUE(t.validate(i, hbs[i]));
+    EXPECT_FALSE(t.validate(i, hbs[(i + 1) % kHolders]));
+  }
+  // Odd holders keep stamping; even holders go quiet.
+  for (int pass = 0; pass < 3; ++pass) {
+    g_now += 40;
+    for (int i = 1; i < kHolders; i += 2) {
+      hbs[i]->last.store(fake_now(), std::memory_order_relaxed);
+    }
+    t.reap(t.now(), nullptr);
+  }
+  ASSERT_EQ(rec.names.size(), static_cast<std::size_t>(kHolders / 2));
+  for (const Name n : rec.names) EXPECT_EQ(n % 2, 0) << "reaped live " << n;
+  EXPECT_EQ(t.leases_live(), static_cast<std::uint64_t>(kHolders / 2));
+  EXPECT_EQ(t.opened(), static_cast<std::uint64_t>(kHolders));
+}
+
+// Holders race the reaper for real: each holder thread opens, renews,
+// rebinds and closes leases on its own names while a reaper thread
+// drives a fast clock and alternates reap() with try_reap(). Holders
+// stamp their heartbeat only now and then, so leases keep expiring under
+// them. Every lease epoch (one open) must end exactly one way — closed by
+// its holder, expired by the reaper (one reclaim callback), or still
+// live — which is what fails if a holder op and the reaper both win.
+TEST_F(LeaseUnit, ConcurrentHoldersAndReaperAgreeOnEveryLease) {
+  constexpr int kHolders = 4;
+  constexpr int kNamesEach = 48;
+  constexpr int kOpsEach = 20000;
+  const std::uint64_t seed = test::stress_seed("LeaseRace", 0x1EA5ECA5);
+  // Interleaved names, half of them in a far page: holders share pages
+  // and race to create them.
+  const auto name_of = [](int holder, int i) {
+    return static_cast<Name>(i * kHolders + holder +
+                             (i >= kNamesEach / 2 ? (1 << 14) : 0));
+  };
+  const std::size_t span = static_cast<std::size_t>(name_of(0, kNamesEach - 1)) + kHolders;
+  struct Expiries {
+    std::vector<std::atomic<std::uint32_t>> per_name;
+    explicit Expiries(std::size_t n) : per_name(n) {}
+    static bool sink(void* ctx, Name n) {
+      static_cast<Expiries*>(ctx)->per_name[static_cast<std::size_t>(n)].fetch_add(
+          1, std::memory_order_release);
+      return true;
+    }
+  } expiries(span);
+  lease::LeaseTable t(opts_with(/*ttl=*/8, /*grace=*/2), nullptr);
+  t.set_reclaimer(&Expiries::sink, &expiries);
+
+  struct Tally {
+    std::uint64_t opens = 0, closes = 0, lost = 0;
+    std::uint64_t won_after_expiry = 0;  // an op true after the reclaim ran
+  };
+  std::vector<std::vector<Tally>> tallies(kHolders, std::vector<Tally>(kNamesEach));
+  std::vector<std::vector<bool>> open_at_end(kHolders, std::vector<bool>(kNamesEach));
+  std::vector<lease::Heartbeat*> hbs(kHolders, nullptr);
+  std::atomic<int> running{kHolders};
+  std::atomic<bool> reaping{false};
+
+  std::vector<std::thread> holders;
+  for (int h = 0; h < kHolders; ++h) {
+    holders.emplace_back([&, h] {
+      lease::Heartbeat& hb = t.register_thread();
+      hbs[h] = &hb;
+      Xoshiro256 rng(seed + static_cast<std::uint64_t>(h));
+      while (!reaping.load(std::memory_order_acquire)) std::this_thread::yield();
+      std::vector<bool> open(kNamesEach, false);
+      for (int op = 0; op < kOpsEach; ++op) {
+        const int i = static_cast<int>(rng.below(kNamesEach));
+        const Name n = name_of(h, i);
+        Tally& tl = tallies[h][i];
+        if (rng.below(256) == 0) hb.last.store(t.now(), std::memory_order_relaxed);
+        if (rng.below(64) == 0) {
+          // Go quiet past ttl + grace, so the reaper expires leases this
+          // holder still believes open and the next ops race it.
+          const std::uint64_t until = t.now() + 12;
+          while (t.now() < until) std::this_thread::yield();
+        }
+        if (!open[i]) {
+          t.open(n, t.now(), &hb, nullptr);
+          ++tl.opens;
+          open[i] = true;
+          continue;
+        }
+        // The reclaim callback runs after the reaper's expiry CAS, so once
+        // it has counted this epoch, the op must fail.
+        std::atomic<std::uint32_t>& exp = expiries.per_name[static_cast<std::size_t>(n)];
+        const bool already_expired = exp.load(std::memory_order_acquire) > tl.lost;
+        bool ok = false;
+        switch (rng.below(3)) {
+          case 0:
+            ok = t.close(n, &hb, nullptr);
+            if (ok) ++tl.closes;
+            open[i] = false;
+            break;
+          case 1:
+            ok = t.renew(n, t.now(), &hb, nullptr);
+            break;
+          default:
+            ok = t.rebind(n, t.now(), &hb);
+            break;
+        }
+        if (ok && already_expired) ++tl.won_after_expiry;
+        if (!ok) {
+          ++tl.lost;  // the reaper expired this epoch first
+          open[i] = false;
+          // Let its reclaim land before the name is reopened, so the
+          // count above always refers to the open epoch.
+          while (exp.load(std::memory_order_acquire) < tl.lost) {
+            std::this_thread::yield();
+          }
+        }
+      }
+      open_at_end[h] = open;
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::thread reaper([&] {
+    Xoshiro256 rng(seed ^ 0xC10C);
+    bool full = false;
+    reaping.store(true, std::memory_order_release);
+    while (running.load(std::memory_order_acquire) > 0) {
+      g_now.fetch_add(1 + rng.below(4), std::memory_order_relaxed);
+      full = !full;
+      if (full) {
+        t.reap(t.now(), nullptr);
+      } else {
+        t.try_reap(t.now(), nullptr);
+      }
+    }
+  });
+  for (auto& th : holders) th.join();
+  reaper.join();
+
+  std::uint64_t opens = 0, closes = 0, expired = 0, live = 0;
+  for (int h = 0; h < kHolders; ++h) {
+    for (int i = 0; i < kNamesEach; ++i) {
+      const Tally& tl = tallies[h][i];
+      const Name n = name_of(h, i);
+      const std::uint64_t exp =
+          expiries.per_name[static_cast<std::size_t>(n)].load(std::memory_order_relaxed);
+      const bool is_live = open_at_end[h][i] && t.validate(n, hbs[h]);
+      // Every expiry the holder noticed is a real, single reclaim; the
+      // rest were expired while the holder still believed them open.
+      const std::uint64_t unnoticed = open_at_end[h][i] && !is_live ? 1 : 0;
+      EXPECT_EQ(exp, tl.lost + unnoticed) << "name " << n;
+      EXPECT_EQ(tl.won_after_expiry, 0u)
+          << "name " << n << ": a holder op won a lease already expired";
+      EXPECT_EQ(tl.opens, tl.closes + exp + (is_live ? 1 : 0)) << "name " << n;
+      opens += tl.opens;
+      closes += tl.closes;
+      expired += exp;
+      live += is_live ? 1 : 0;
+    }
+  }
+  EXPECT_GT(expired, 0u) << "the clock never outran the holders";
+  EXPECT_GT(closes, 0u);
+  EXPECT_EQ(t.opened(), opens);
+  EXPECT_EQ(t.expired(), expired);
+  EXPECT_EQ(t.leases_live(), live);
+  EXPECT_EQ(t.opened(), closes + t.expired() + t.leases_live());
+}
+
 // ---------------------------------------------- service integration ----
 
 class LeaseService : public ::testing::Test {
@@ -411,6 +659,49 @@ TEST_F(LeaseService, ElasticServiceRejectsLateReleaseAndRenewAfterExpiry) {
   EXPECT_GE(svc.lease_guard_trips(), 1u);
   EXPECT_EQ(svc.names_live(), 1u);
   EXPECT_TRUE(svc.release(other));
+}
+
+TEST_F(LeaseService, ElasticReapReissuesStampedNamesWithTheReleaseGuardOn) {
+  // With debug_release_guard on, issued names carry a generation stamp
+  // but the reaper hands back the bare cell index; reclaim must accept it.
+  ElasticOptions opts;
+  opts.name_cache = false;
+  opts.min_holders = 64;
+  opts.max_holders = 256;
+  opts.auto_grow = false;
+  opts.auto_shrink = false;
+  opts.debug_release_guard = true;
+  opts.lease = opts_with(/*ttl=*/1000, /*grace=*/100);
+  ElasticRenamingService svc(64, opts);
+
+  std::vector<Name> abandoned;
+  std::thread victim([&] {
+    for (int i = 0; i < 16; ++i) {
+      const Name n = svc.acquire();
+      ASSERT_GE(n, 0);
+      abandoned.push_back(n);
+    }
+  });
+  victim.join();
+  ASSERT_GE(static_cast<std::uint64_t>(abandoned[0]),
+            std::uint64_t{1} << ElasticRenamingService::kGenStampShift)
+      << "the guard did not stamp issued names";
+
+  g_now += 2000;
+  EXPECT_EQ(svc.reap_expired(), 16u);
+  EXPECT_EQ(svc.names_live(), 0u) << "reaped stamped names were not reclaimed";
+
+  // The whole group is acquirable again, uniquely, including every
+  // formerly abandoned name (same generation, so the same stamp).
+  std::set<Name> seen;
+  for (;;) {
+    const Name n = svc.acquire();
+    if (n < 0) break;
+    ASSERT_TRUE(seen.insert(n).second) << "duplicate " << n;
+  }
+  for (const Name n : abandoned) EXPECT_TRUE(seen.count(n)) << n;
+  for (const Name n : seen) EXPECT_TRUE(svc.release(n));
+  EXPECT_EQ(svc.names_live(), 0u);
 }
 
 TEST_F(LeaseService, StashAbsorbedNamesStayLeasedAndReapable) {
