@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "platform/sim_point.h"
-#include "renaming/service.h"  // auto_shard_count
+#include "renaming/service.h"  // shard_count_for
 #include "renaming/service_directory.h"
 #include "renaming/thread_ctx.h"
 #include "telemetry/trace.h"
@@ -196,7 +196,8 @@ ElasticRenamingService::ElasticRenamingService(std::uint64_t initial_holders,
   {
     std::lock_guard<SimMutex> lock(resize_mu_);
     const std::uint64_t shards =
-        shard_count_for(initial, options_.shards, schedules_.params());
+        shard_count_for(initial, options_.shards, schedules_.params(),
+                        options_.arena_kind);
     const std::uint64_t shard_n = (initial + shards - 1) / shards;
     auto group = std::make_unique<ShardGroup>(
         /*tag=*/0, /*generation=*/1, initial, shards, options_.arena_layout,
@@ -948,7 +949,8 @@ bool ElasticRenamingService::resize_locked(std::uint64_t target) {
   if (tag < 0) return false;  // kMaxGroups generations still in flight
 
   const std::uint64_t shards =
-      shard_count_for(target, options_.shards, schedules_.params());
+      shard_count_for(target, options_.shards, schedules_.params(),
+                      options_.arena_kind);
   const std::uint64_t shard_n = (target + shards - 1) / shards;
   const std::uint64_t gen =
       generation_.load(std::memory_order_relaxed) + 1;

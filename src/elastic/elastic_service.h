@@ -78,10 +78,16 @@ struct ElasticOptions {
   /// many).
   std::uint64_t shards = 0;
   ArenaLayout arena_layout = ArenaLayout::kPadded;
-  /// Substrate for every generation's arena: kCellProbe (TasArena, one
-  /// RMW per cell probed) or kBitmap (BitmapArena, 64 cells per probe
-  /// via word scans — see tas/bitmap_arena.h for the tradeoff).
-  ArenaKind arena_kind = ArenaKind::kCellProbe;
+  /// Substrate for every generation's arena: kBitmap (BitmapArena, 64
+  /// cells per probe via word scans) or kCellProbe (TasArena, one RMW per
+  /// cell probed) — see tas/bitmap_arena.h for the tradeoff. Defaults to
+  /// kBitmap, unlike RenamingServiceOptions: growth waits for exhaustion,
+  /// so every generation is driven to full, where a word probe still
+  /// finds the last free cells (it misses only on a full word) and the
+  /// backstop sweep reads 64 cells per load. Shards are sized by the
+  /// substrate's bytes (auto_shard_count), so a bitmap generation gets
+  /// about one shard per hardware thread.
+  ArenaKind arena_kind = ArenaKind::kBitmap;
   std::uint64_t seed = 0xE1A5;
   BatchLayoutParams layout_extra{};
   /// Grow automatically under sustained probe-schedule misses (and always

@@ -41,9 +41,11 @@ class ShardGroup {
   /// `shards` must be a power of two; `schedule` is the plan for this
   /// group's per-shard holder count (schedule->layout.n() == holders/S).
   /// `arena_kind` picks the substrate: one cell-probe TasArena or one
-  /// word-packed BitmapArena, either way a single allocation carved into
-  /// shard segments (the segments dispatch, so the probing discipline
-  /// below is substrate-agnostic except for the word-granular probes).
+  /// word-packed BitmapArena (the elastic service's default), either way
+  /// a single allocation carved into shard segments (the segments
+  /// dispatch, so the probing discipline below is substrate-agnostic
+  /// except for the word-granular probes). The caller sizes `shards` for
+  /// the substrate's bytes (shard_count_for with the same kind).
   ShardGroup(std::uint32_t tag, std::uint64_t generation, std::uint64_t holders,
              std::uint64_t shards, ArenaLayout arena_layout,
              ArenaKind arena_kind,

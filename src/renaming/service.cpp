@@ -90,11 +90,18 @@ ThreadCtx& thread_ctx(std::uint64_t seed) {
   return ctx;
 }
 
+/// A shard arena's real footprint: the cell-probe TasArena spends a
+/// padded line per cell, the BitmapArena a padded word slot per 64 cells.
 std::uint64_t padded_shard_bytes(std::uint64_t n, std::uint64_t shards,
-                                 const loren::BatchLayoutParams& params) {
+                                 const loren::BatchLayoutParams& params,
+                                 loren::ArenaKind kind) {
   const std::uint64_t holders = (n + shards - 1) / shards;
-  return loren::BatchLayout(holders, params).total() *
-         loren::TasArena::kCacheLine;
+  std::uint64_t cells = loren::BatchLayout(holders, params).total();
+  if (kind == loren::ArenaKind::kBitmap) {
+    cells = (cells + loren::BitmapArena::kBitsPerWord - 1) /
+            loren::BitmapArena::kBitsPerWord;
+  }
+  return cells * loren::kCacheLine;
 }
 
 }  // namespace
@@ -104,7 +111,7 @@ namespace loren {
 using sim::Name;
 
 std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
-                               std::uint32_t hw_threads) {
+                               std::uint32_t hw_threads, ArenaKind kind) {
   // hardware_concurrency() may legitimately return 0 ("unknown"). Treat
   // it as 1 — the conservative reading, made explicit here rather than
   // left to the accident that `shards < 0u` is unsatisfiable (the clamp
@@ -113,27 +120,29 @@ std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
   // the shard count up for large namespaces).
   const std::uint64_t hw = std::max<std::uint32_t>(1u, hw_threads);
   // Grow while (a) hardware threads would share home shards or (b) a
-  // padded shard spills out of half an L1d — the sticky hot path is
+  // shard's arena spills out of half an L1d — the sticky hot path is
   // fastest when a thread's whole probe target is cache-resident — but
   // never shard below 64 holders.
   constexpr std::uint64_t kHalfL1 = 32 * 1024;
   std::uint64_t shards = 1;
   while (n / (shards * 2) >= 64 &&
-         (shards < hw || padded_shard_bytes(n, shards, params) > kHalfL1)) {
+         (shards < hw ||
+          padded_shard_bytes(n, shards, params, kind) > kHalfL1)) {
     shards <<= 1;
   }
   return shards;
 }
 
-std::uint64_t auto_shard_count(std::uint64_t n,
-                               const BatchLayoutParams& params) {
-  return auto_shard_count(n, params, std::thread::hardware_concurrency());
+std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
+                               ArenaKind kind) {
+  return auto_shard_count(n, params, std::thread::hardware_concurrency(),
+                          kind);
 }
 
 std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
                               const BatchLayoutParams& params,
-                              std::uint32_t hw_threads) {
-  if (requested == 0) return auto_shard_count(n, params, hw_threads);
+                              std::uint32_t hw_threads, ArenaKind kind) {
+  if (requested == 0) return auto_shard_count(n, params, hw_threads, kind);
   std::uint64_t shards = 1;
   while (shards < requested) shards <<= 1;  // round up to a power of two
   while (shards > 1 && shards > n) shards >>= 1;
@@ -141,9 +150,9 @@ std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
 }
 
 std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params) {
+                              const BatchLayoutParams& params, ArenaKind kind) {
   return shard_count_for(n, requested, params,
-                         std::thread::hardware_concurrency());
+                         std::thread::hardware_concurrency(), kind);
 }
 
 RenamingService::RenamingService(std::uint64_t n,
@@ -153,7 +162,8 @@ RenamingService::RenamingService(std::uint64_t n,
   options_.layout_extra.epsilon = options_.epsilon;
 
   const std::uint64_t shards =
-      shard_count_for(n, options_.shards, options_.layout_extra);
+      shard_count_for(n, options_.shards, options_.layout_extra,
+                      options_.arena_kind);
 
   shard_n_ = (n + shards - 1) / shards;
   shard_mask_ = shards - 1;
@@ -659,7 +669,12 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
   return got + shared_got;
 }
 
-std::uint64_t RenamingService::release_shared(
+// Cache-line aligned: this loop is the stash's spill path, so it sets
+// the release tail of cached churn, and its speed depends on where it
+// lands in the binary (a 16-byte shift caused by an unrelated edit cost
+// ~30% release p99 on perfbench pool-churn). Pinning its start keeps
+// edits elsewhere from moving it.
+[[gnu::aligned(kCacheLine)]] std::uint64_t RenamingService::release_shared(
     const Name* names, std::uint64_t count, RegisteredCounter::Node& counter,
     telemetry::MetricsRegistry::ThreadStripe* stripe,
     const lease::Heartbeat* hb) {

@@ -67,10 +67,16 @@ namespace loren {
 
 /// The auto-sharding heuristic shared by RenamingService and the elastic
 /// shard groups: the smallest power-of-two shard count such that (a)
-/// hardware threads get distinct home shards and (b) a padded shard arena
-/// fits in half an L1d (32 KiB), clamped so every shard still serves
-/// >= 64 holders (tiny shards overflow constantly and every acquisition
+/// hardware threads get distinct home shards and (b) a shard's arena fits
+/// in half an L1d (32 KiB), clamped so every shard still serves >= 64
+/// holders (tiny shards overflow constantly and every acquisition
 /// degenerates to stealing).
+///
+/// `kind` is the substrate the shards are built on, and (b) measures its
+/// real footprint: one 64-byte line per cell for kCellProbe, one padded
+/// 64-byte word slot per 64 cells for kBitmap. So a bitmap shard holds
+/// 64x the cells of a cell-probe shard before (b) splits it, and a large
+/// bitmap namespace gets about one shard per hardware thread.
 ///
 /// `hw_threads` is the hardware thread count to shard for; 0 means
 /// "unknown" (std::thread::hardware_concurrency() is allowed to return 0)
@@ -78,31 +84,39 @@ namespace loren {
 /// distinct-home-shards growth condition. Injectable so the policy is
 /// unit-testable without faking the host's topology.
 std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
-                               std::uint32_t hw_threads);
+                               std::uint32_t hw_threads,
+                               ArenaKind kind = ArenaKind::kCellProbe);
 /// Convenience overload: shard for this host (hardware_concurrency()).
-std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params);
+std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
+                               ArenaKind kind = ArenaKind::kCellProbe);
 
 /// Resolves a requested shard count: 0 = auto_shard_count, otherwise
 /// rounded up to a power of two and clamped so a shard never serves less
-/// than one holder. One policy for RenamingService and the elastic groups.
-/// The three-argument form uses this host's hardware_concurrency().
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params);
+/// than one holder. One policy for RenamingService and the elastic groups,
+/// each passing its own substrate. The form without `hw_threads` uses
+/// this host's hardware_concurrency().
 std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
                               const BatchLayoutParams& params,
-                              std::uint32_t hw_threads);
+                              ArenaKind kind = ArenaKind::kCellProbe);
+std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
+                              const BatchLayoutParams& params,
+                              std::uint32_t hw_threads,
+                              ArenaKind kind = ArenaKind::kCellProbe);
 
 struct RenamingServiceOptions {
   double epsilon = 0.5;
   /// Number of shards, rounded up to a power of two. 0 = auto: enough
   /// shards that (a) hardware threads get distinct home shards and (b) a
-  /// padded shard arena fits in half an L1d (32 KiB), clamped so every
-  /// shard still serves >= 64 holders.
+  /// shard's arena (of `arena_kind`) fits in half an L1d (32 KiB),
+  /// clamped so every shard still serves >= 64 holders.
   std::uint64_t shards = 0;
   ArenaLayout arena_layout = ArenaLayout::kPadded;
   /// Substrate for the shard arenas: kCellProbe (TasArena, one RMW per
   /// cell probed) or kBitmap (BitmapArena, 64 cells per probe via word
-  /// scans — see tas/bitmap_arena.h for the tradeoff).
+  /// scans — see tas/bitmap_arena.h for the tradeoff). kCellProbe by
+  /// default: a fixed service runs at or below design load, where the
+  /// word scan saves few probes and concurrent releases on shared words
+  /// cost release latency.
   ArenaKind arena_kind = ArenaKind::kCellProbe;
   std::uint64_t seed = 0x53ED;
   BatchLayoutParams layout_extra{};

@@ -9,7 +9,8 @@
 //      unsatisfiable by accident of unsigned comparison. Now clamped to
 //      1 — the same conservative shard count, but as an explicit,
 //      documented contract — and hw is injectable so the policy is
-//      unit-testable against any topology.
+//      unit-testable against any topology (and per substrate: a shard's
+//      bytes depend on whether it is a cell-probe or bitmap arena).
 //   3. Stale double-release ABA: a release() of a name from an already-
 //      reclaimed generation whose 3-bit tag has been recycled validated
 //      only the tag, freeing a victim's cell in the *new* group. The
@@ -113,6 +114,51 @@ TEST(ShardCountFor, InjectedHwFlowsThroughAndExplicitRequestsStillWin) {
   // An explicit request ignores hw entirely (rounded up to a power of two).
   EXPECT_EQ(shard_count_for(1u << 14, 3, params, 0), 4u);
   EXPECT_EQ(shard_count_for(1u << 14, 4, params, 0), 4u);
+}
+
+TEST(AutoShardCount, SizesShardsByTheSubstratesBytes) {
+  BatchLayoutParams params;
+  params.epsilon = 0.5;
+  // 2^15 holders on 4 hardware threads: a cell-probe shard spends a line
+  // per cell, so half an L1d caps it at a few hundred cells (128 shards);
+  // a bitmap shard spends a line per 64 cells and stops at one shard per
+  // hardware thread.
+  EXPECT_EQ(auto_shard_count(1u << 15, params, 4), 128u);
+  EXPECT_EQ(auto_shard_count(1u << 15, params, 4, ArenaKind::kCellProbe),
+            128u);
+  EXPECT_EQ(auto_shard_count(1u << 15, params, 4, ArenaKind::kBitmap), 4u);
+  EXPECT_EQ(shard_count_for(1u << 15, 0, params, 4, ArenaKind::kBitmap), 4u);
+  // An explicit request still wins over the substrate.
+  EXPECT_EQ(shard_count_for(1u << 15, 3, params, 4, ArenaKind::kBitmap), 4u);
+}
+
+TEST(AutoShardCount, BitmapShardsNeverServeFewerThan64Holders) {
+  BatchLayoutParams params;
+  params.epsilon = 0.5;
+  for (std::uint64_t n = 64; n <= (std::uint64_t{1} << 22); n <<= 1) {
+    for (const std::uint32_t hw : {1u, 4u, 64u, 4096u}) {
+      const std::uint64_t s =
+          auto_shard_count(n, params, hw, ArenaKind::kBitmap);
+      EXPECT_EQ(s & (s - 1), 0u) << "n=" << n << " hw=" << hw;
+      EXPECT_GE(n / s, 64u) << "n=" << n << " hw=" << hw;
+    }
+  }
+  EXPECT_EQ(auto_shard_count(64, params, 64, ArenaKind::kBitmap), 1u);
+}
+
+TEST(AutoShardCount, ZeroHardwareConcurrencyMeansOneForBothSubstrates) {
+  BatchLayoutParams params;
+  params.epsilon = 0.5;
+  for (const ArenaKind kind : {ArenaKind::kCellProbe, ArenaKind::kBitmap}) {
+    for (const std::uint64_t n : {1u << 10, 1u << 14, 1u << 18}) {
+      EXPECT_EQ(auto_shard_count(n, params, 0, kind),
+                auto_shard_count(n, params, 1, kind))
+          << "n=" << n;
+      EXPECT_EQ(shard_count_for(n, 0, params, 0, kind),
+                auto_shard_count(n, params, 1, kind))
+          << "n=" << n;
+    }
+  }
 }
 
 // ------------------------------------------- 3. stale double-release ----

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -237,13 +238,25 @@ class NameLedger {
   std::vector<std::atomic<std::uint8_t>> flags_;
 };
 
-TEST(ElasticStress, ConcurrentBatchesStayUniqueAcrossResizes) {
+// The ledger stress runs on both substrates: the elastic default is the
+// word scan, and the cell-probe generations keep their multi-threaded
+// (TSan) coverage here.
+class ElasticStress : public ::testing::TestWithParam<ArenaKind> {
+ protected:
+  ElasticOptions substrate_options() const {
+    ElasticOptions opts = small_options();
+    opts.arena_kind = GetParam();
+    return opts;
+  }
+};
+
+TEST_P(ElasticStress, ConcurrentBatchesStayUniqueAcrossResizes) {
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 4000;
   constexpr std::uint64_t kMaxBatch = 8;
   constexpr std::size_t kMaxHeld = 64;
 
-  ElasticOptions opts = small_options();
+  ElasticOptions opts = substrate_options();
   opts.grow_miss_threshold = 2;
   opts.auto_shrink = true;  // exercise resize churn under batches too
   ElasticRenamingService svc(64, opts);
@@ -311,14 +324,14 @@ TEST(ElasticStress, ConcurrentBatchesStayUniqueAcrossResizes) {
   EXPECT_EQ(svc.names_live(), 0u);
 }
 
-TEST(ElasticStress, BurstDrainKeepsNamesUniqueAndValid) {
+TEST_P(ElasticStress, BurstDrainKeepsNamesUniqueAndValid) {
   constexpr int kThreads = 4;
   constexpr int kBurstHold = 96;  // 4 * 96 demand vs 64 initial holders
   constexpr int kDrainHold = 2;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(20);
 
-  ElasticOptions opts = small_options();
+  ElasticOptions opts = substrate_options();
   opts.grow_miss_threshold = 2;
   // Cache off: this test asserts exact live-count watermarks while the
   // workers are mid-run (the drain wait below), which per-thread stashes
@@ -420,10 +433,19 @@ TEST(ElasticStress, BurstDrainKeepsNamesUniqueAndValid) {
   // small-group bound, and the retired generations' memory is gone.
   for (int i = 0; i < 6 && svc.groups_in_flight() > 1; ++i) svc.reclaim();
   EXPECT_EQ(svc.groups_in_flight(), 1u);
-  const ElasticRenamingService reference(64, small_options());
+  const ElasticRenamingService reference(64, substrate_options());
   EXPECT_LE(svc.capacity(), reference.capacity());
   EXPECT_LE(svc.footprint_bytes(), reference.footprint_bytes());
 }
+
+std::string substrate_name(const ::testing::TestParamInfo<ArenaKind>& info) {
+  return info.param == ArenaKind::kBitmap ? "Bitmap" : "CellProbe";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, ElasticStress,
+    ::testing::Values(ArenaKind::kCellProbe, ArenaKind::kBitmap),
+    substrate_name);
 
 }  // namespace
 }  // namespace loren

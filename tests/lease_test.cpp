@@ -22,7 +22,9 @@
 //     holder op wins a lease the reaper already expired;
 //   * service integration (both services) — abandoned names are reaped
 //     back into the arena and become re-acquirable, a revived holder's
-//     late release is rejected, renew_lease reports kLeaseExpired.
+//     late release is rejected, renew_lease reports kLeaseExpired; on the
+//     elastic word scan, a reaped cell reissued to the same thread frees
+//     exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -639,6 +641,12 @@ TEST_F(LeaseService, ElasticServiceReapsAbandonedNamesAndReissuesThem) {
 
 TEST_F(LeaseService, ElasticServiceRejectsLateReleaseAndRenewAfterExpiry) {
   ElasticOptions opts;
+  // Cell-probe substrate: the late release below must miss the name the
+  // thread acquires next, which needs the reissue to land on another
+  // cell. The word scan (the elastic default) hands the reaped cell
+  // straight back as the lowest free bit of its word; the sibling below
+  // pins what a late release means then.
+  opts.arena_kind = ArenaKind::kCellProbe;
   opts.name_cache = false;
   opts.min_holders = 64;
   opts.max_holders = 256;
@@ -659,6 +667,40 @@ TEST_F(LeaseService, ElasticServiceRejectsLateReleaseAndRenewAfterExpiry) {
   EXPECT_GE(svc.lease_guard_trips(), 1u);
   EXPECT_EQ(svc.names_live(), 1u);
   EXPECT_TRUE(svc.release(other));
+}
+
+TEST_F(LeaseService, ElasticWordScanReissuesTheReapedCellAndItFreesOnce) {
+  // A group of at most 64 cells is one bitmap word, so every word probe
+  // claims its lowest free bit: after the reap, the same thread's next
+  // acquire() gets the reaped cell back under the same name. A release of
+  // that name then frees the name the thread holds again (once); a
+  // second release of it fails.
+  ElasticOptions opts;
+  opts.arena_kind = ArenaKind::kBitmap;
+  opts.name_cache = false;
+  opts.min_holders = 16;
+  opts.max_holders = 16;
+  opts.auto_grow = false;
+  opts.auto_shrink = false;
+  opts.lease = opts_with(/*ttl=*/100);
+  ElasticRenamingService svc(16, opts);
+  ASSERT_LE(svc.capacity() >> ElasticRenamingService::kTagBits,
+            BitmapArena::kBitsPerWord)
+      << "the group spans more than one word";
+
+  const Name n = svc.acquire();
+  ASSERT_GE(n, 0);
+  g_now += 500;
+  EXPECT_EQ(svc.reap_expired(), 1u);
+  EXPECT_EQ(svc.names_live(), 0u);
+  EXPECT_EQ(svc.renew_lease(n), ElasticRenamingService::kLeaseExpired);
+  const Name other = svc.acquire();
+  ASSERT_EQ(other, n) << "the word scan did not reissue the reaped cell";
+  EXPECT_EQ(svc.names_live(), 1u);
+  EXPECT_TRUE(svc.release(n));
+  EXPECT_EQ(svc.names_live(), 0u);
+  EXPECT_FALSE(svc.release(other));
+  EXPECT_EQ(svc.names_live(), 0u);
 }
 
 TEST_F(LeaseService, ElasticReapReissuesStampedNamesWithTheReleaseGuardOn) {
