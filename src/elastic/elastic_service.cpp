@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "platform/sim_point.h"
-#include "renaming/service.h"  // shard_count_for
 #include "renaming/service_directory.h"
 #include "renaming/thread_ctx.h"
 #include "telemetry/trace.h"
@@ -200,8 +199,8 @@ ElasticRenamingService::ElasticRenamingService(std::uint64_t initial_holders,
                         options_.arena_kind);
     const std::uint64_t shard_n = (initial + shards - 1) / shards;
     auto group = std::make_unique<ShardGroup>(
-        /*tag=*/0, /*generation=*/1, initial, shards, options_.arena_layout,
-        options_.arena_kind, schedules_.get(shard_n));
+        /*tag=*/0, /*generation=*/1, initial, shards, options_.arena_kind,
+        schedules_.get(shard_n));
     ShardGroup* raw = group.get();
     live_local_capacity_.store(raw->local_capacity(),
                                std::memory_order_release);
@@ -956,7 +955,7 @@ bool ElasticRenamingService::resize_locked(std::uint64_t target) {
       generation_.load(std::memory_order_relaxed) + 1;
   auto group = std::make_unique<ShardGroup>(
       static_cast<std::uint32_t>(tag), gen, target, shards,
-      options_.arena_layout, options_.arena_kind, schedules_.get(shard_n));
+      options_.arena_kind, schedules_.get(shard_n));
   ShardGroup* raw = group.get();
 
   // Publication order matters: the tag table entry must be visible before

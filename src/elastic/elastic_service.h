@@ -8,7 +8,8 @@
 // from the one-shot setting into a long-lived, resizable one (cf. the
 // long-lived/adaptive renaming chapters of Aspnes's notes):
 //
-//   * The live namespace is one ShardGroup (shard_group.h): a TasArena
+//   * The live namespace is one ShardGroup (renaming/shard_group.h, the
+//     namespace layer the fixed RenamingService also runs on): one arena
 //     carved into sticky-probed shards under a ReBatching schedule sized
 //     for the group's holder count.
 //   * GROW: when acquisitions keep missing the whole probe schedule
@@ -53,13 +54,13 @@
 #include <vector>
 
 #include "control/adaptive_controller.h"
-#include "elastic/shard_group.h"
 #include "lease/lease_table.h"
 #include "platform/epoch.h"
 #include "platform/sim_point.h"
 #include "renaming/acquire_result.h"
 #include "renaming/batch_layout.h"
 #include "renaming/schedule_cache.h"
+#include "renaming/shard_group.h"
 #include "renaming/thread_ctx.h"
 #include "sim/env.h"
 #include "tas/tas_arena.h"
@@ -77,7 +78,6 @@ struct ElasticOptions {
   /// heuristic, so a small generation gets few shards and a large one
   /// many).
   std::uint64_t shards = 0;
-  ArenaLayout arena_layout = ArenaLayout::kPadded;
   /// Substrate for every generation's arena: kBitmap (BitmapArena, 64
   /// cells per probe via word scans) or kCellProbe (TasArena, one RMW per
   /// cell probed) — see tas/bitmap_arena.h for the tradeoff. Defaults to

@@ -1,13 +1,10 @@
 #include "renaming/service.h"
 
 #include <algorithm>
-#include <vector>
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 
 #include "platform/sim_point.h"
-#include "renaming/batch_claim.h"
 #include "renaming/service_directory.h"
 #include "renaming/thread_ctx.h"
 #include "telemetry/trace.h"
@@ -22,16 +19,9 @@ using loren::RegisteredCounter;
 /// re-derived one from a shared ticket on *every* call), and a small
 /// per-service state table — the sticky shard hint and this thread's
 /// registered counter node. The slot/table machinery is shared with the
-/// elastic service (renaming/thread_ctx.h).
-///
-/// The sticky hint is what keeps a loaded home shard from becoming a tax:
-/// without it, a thread whose home shard has filled walks that shard's
-/// entire probe schedule (t_0 ~ 17 ln(8e/eps)/eps probes on B_0 alone)
-/// and fails it on *every* acquisition before stealing. The hint moves as
-/// soon as wins start arriving late in the schedule (the shard is running
-/// hot) or the schedule misses outright, so steady-state work goes
-/// straight to a shard with free cells; after a reset the hint is merely
-/// stale, never wrong, because any shard can serve any thread.
+/// elastic service (renaming/thread_ctx.h); the sticky hint is the one
+/// ShardGroup::try_acquire moves. After a reset the hint is merely stale,
+/// never wrong, because any shard can serve any thread.
 struct PerService {
   std::uint32_t shard = 0;
   RegisteredCounter::Node* counter = nullptr;
@@ -90,70 +80,11 @@ ThreadCtx& thread_ctx(std::uint64_t seed) {
   return ctx;
 }
 
-/// A shard arena's real footprint: the cell-probe TasArena spends a
-/// padded line per cell, the BitmapArena a padded word slot per 64 cells.
-std::uint64_t padded_shard_bytes(std::uint64_t n, std::uint64_t shards,
-                                 const loren::BatchLayoutParams& params,
-                                 loren::ArenaKind kind) {
-  const std::uint64_t holders = (n + shards - 1) / shards;
-  std::uint64_t cells = loren::BatchLayout(holders, params).total();
-  if (kind == loren::ArenaKind::kBitmap) {
-    cells = (cells + loren::BitmapArena::kBitsPerWord - 1) /
-            loren::BitmapArena::kBitsPerWord;
-  }
-  return cells * loren::kCacheLine;
-}
-
 }  // namespace
 
 namespace loren {
 
 using sim::Name;
-
-std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
-                               std::uint32_t hw_threads, ArenaKind kind) {
-  // hardware_concurrency() may legitimately return 0 ("unknown"). Treat
-  // it as 1 — the conservative reading, made explicit here rather than
-  // left to the accident that `shards < 0u` is unsatisfiable (the clamp
-  // pins the hw==0 contract down so it is documented and, with hw
-  // injectable, unit-tested; the L1-size condition below still drives
-  // the shard count up for large namespaces).
-  const std::uint64_t hw = std::max<std::uint32_t>(1u, hw_threads);
-  // Grow while (a) hardware threads would share home shards or (b) a
-  // shard's arena spills out of half an L1d — the sticky hot path is
-  // fastest when a thread's whole probe target is cache-resident — but
-  // never shard below 64 holders.
-  constexpr std::uint64_t kHalfL1 = 32 * 1024;
-  std::uint64_t shards = 1;
-  while (n / (shards * 2) >= 64 &&
-         (shards < hw ||
-          padded_shard_bytes(n, shards, params, kind) > kHalfL1)) {
-    shards <<= 1;
-  }
-  return shards;
-}
-
-std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
-                               ArenaKind kind) {
-  return auto_shard_count(n, params, std::thread::hardware_concurrency(),
-                          kind);
-}
-
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params,
-                              std::uint32_t hw_threads, ArenaKind kind) {
-  if (requested == 0) return auto_shard_count(n, params, hw_threads, kind);
-  std::uint64_t shards = 1;
-  while (shards < requested) shards <<= 1;  // round up to a power of two
-  while (shards > 1 && shards > n) shards >>= 1;
-  return shards;
-}
-
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params, ArenaKind kind) {
-  return shard_count_for(n, requested, params,
-                         std::thread::hardware_concurrency(), kind);
-}
 
 RenamingService::RenamingService(std::uint64_t n,
                                  RenamingServiceOptions options)
@@ -164,19 +95,12 @@ RenamingService::RenamingService(std::uint64_t n,
   const std::uint64_t shards =
       shard_count_for(n, options_.shards, options_.layout_extra,
                       options_.arena_kind);
-
-  shard_n_ = (n + shards - 1) / shards;
+  const std::uint64_t shard_n = (n + shards - 1) / shards;
+  group_ = std::make_unique<ShardGroup>(
+      /*tag=*/0, /*generation=*/1, n, shards, options_.arena_kind,
+      std::make_shared<const CachedSchedule>(shard_n, options_.layout_extra));
   shard_mask_ = shards - 1;
-  shard_shift_ = 0;
-  for (std::uint64_t s = shards; s > 1; s >>= 1) ++shard_shift_;
-  shards_.reserve(shards);
-  for (std::uint64_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(shard_n_, options_.layout_extra,
-                                              options_.arena_layout,
-                                              options_.arena_kind));
-  }
-  shard_stride_ = shards_[0]->layout.total();
-  capacity_ = shard_stride_ << shard_shift_;
+  capacity_ = group_->local_capacity();
 
   // Resolve the telemetry surface once: attached registry = detailed mode
   // (per-op histograms live), internal fallback = event counters only.
@@ -234,13 +158,8 @@ RenamingService::~RenamingService() {
 
 bool RenamingService::reclaim_cell(void* ctx, Name name) {
   auto* self = static_cast<RenamingService*>(ctx);
-  if (name < 0 || static_cast<std::uint64_t>(name) >= self->capacity_) {
-    return false;
-  }
-  const std::uint64_t si = static_cast<std::uint64_t>(name) & self->shard_mask_;
-  const std::uint64_t local =
-      static_cast<std::uint64_t>(name) >> self->shard_shift_;
-  return self->shards_[si]->seg.try_release(local);
+  return name >= 0 &&
+         self->group_->release_local(static_cast<std::uint64_t>(name));
 }
 
 void RenamingService::directory_flush(void* service, void* payload) {
@@ -344,50 +263,6 @@ std::size_t RenamingService::reap_expired() {
   return reclaimed;
 }
 
-Name RenamingService::probe_shard(Shard& shard, std::uint64_t shard_index,
-                                  Xoshiro256& rng, bool& late,
-                                  std::uint32_t* probes,
-                                  std::uint32_t* lost_races) {
-  const FlatProbeSchedule::Slot* const first = shard.schedule.begin();
-  if (shard.seg.kind() == ArenaKind::kBitmap) {
-    // Word-granular probes: the slot's random draw nominates a word and
-    // the 64-way scan claims any free cell in it, so a probe fails only
-    // when its whole word is full (see tas/bitmap_arena.h).
-    for (const auto* slot = first; slot != shard.schedule.end(); ++slot) {
-      const std::uint64_t x = slot->offset + rng.below(slot->size);
-      const std::int64_t cell = shard.seg.try_claim_word(x, lost_races);
-      if (cell >= 0) {
-        late = (slot - first) >= kMigrateThreshold;
-        if (probes != nullptr) {
-          *probes += static_cast<std::uint32_t>(slot - first) + 1;
-        }
-        return static_cast<Name>(
-            (static_cast<std::uint64_t>(cell) << shard_shift_) | shard_index);
-      }
-    }
-    if (probes != nullptr) {
-      *probes += static_cast<std::uint32_t>(shard.schedule.end() - first);
-    }
-    return -1;
-  }
-  for (const auto* slot = first; slot != shard.schedule.end(); ++slot) {
-    const std::uint64_t x = slot->offset + rng.below(slot->size);
-    // sim:exempt(forwards to the arena RMW, which carries the sim point)
-    if (shard.seg.test_and_set(x)) {
-      late = (slot - first) >= kMigrateThreshold;
-      if (probes != nullptr) {
-        *probes += static_cast<std::uint32_t>(slot - first) + 1;
-      }
-      // Interleaved encoding: local * S + shard, so decode is shift/mask.
-      return static_cast<Name>((x << shard_shift_) | shard_index);
-    }
-  }
-  if (probes != nullptr) {
-    *probes += static_cast<std::uint32_t>(shard.schedule.end() - first);
-  }
-  return -1;
-}
-
 void RenamingService::cache_sync_gen(NameStash& st) const {
   const std::uint64_t gen = cache_gen_.load(std::memory_order_relaxed);
   if (st.gen() != gen) {
@@ -475,88 +350,54 @@ Name RenamingService::acquire() {
   if (controller_ != nullptr && !controller_->admit(*per.stripe)) {
     return finish(kShed);
   }
-  std::uint32_t probes = 0;
-  std::uint32_t lost = 0;
-  std::uint32_t* const pprobes = timed ? &probes : nullptr;
-  std::uint32_t* const plost = timed ? &lost : nullptr;
+  ShardGroup::ProbeStats stats;
   const auto note_probes = [&] {
     if (timed) {
-      per.stripe->record(ins_.probe_len, probes);
-      if (lost != 0) per.stripe->record(ins_.lost_races, lost);
+      per.stripe->record(ins_.probe_len, stats.probes);
+      if (stats.lost_races != 0) {
+        per.stripe->record(ins_.lost_races, stats.lost_races);
+      }
     }
   };
-  const std::uint64_t S = shard_mask_ + 1;
-  // Fast path: the sticky shard; on pressure (late win) migrate ringward,
-  // on a full miss steal ringward, so loaded shards shed to neighbours.
-  for (std::uint64_t k = 0; k < S; ++k) {
-    const std::uint64_t si = (per.shard + k) & shard_mask_;
-    bool late = false;
-    const Name name = probe_shard(*shards_[si], si, ctx.rng, late, pprobes, plost);
-    if (name >= 0) {
-      if (k != 0) {
-        per.shard = static_cast<std::uint32_t>(si);
-        per.stripe->add(ins_.shard_migrations);
-        LOREN_TRACE("service.migrate", si);
-      } else if (late) {
-        per.shard = static_cast<std::uint32_t>((si + 1) & shard_mask_);
-        per.stripe->add(ins_.shard_migrations);
-        LOREN_TRACE("service.migrate", per.shard);
-      }
-      RegisteredCounter::add(*per.counter, 1);
-      if (leases_ != nullptr) {
-        leases_->open(name, leases_->now(), per.hb, per.stripe);
-      }
-      note_probes();
-      return finish(name);
+  const auto won = [&](std::int64_t local) {
+    RegisteredCounter::add(*per.counter, 1);
+    const Name name = static_cast<Name>(local);
+    if (leases_ != nullptr) {
+      leases_->open(name, leases_->now(), per.hb, per.stripe);
     }
+    note_probes();
+    return finish(name);
+  };
+  // Fast path: the sticky shard; on pressure (late win) the group
+  // migrates the hint ringward, on a full miss it steals ringward, so
+  // loaded shards shed to neighbours. A migration is a hint that moved.
+  const std::uint32_t hint = per.shard;
+  const std::int64_t local =
+      group_->try_acquire(ctx.rng, &per.shard, timed ? &stats : nullptr);
+  if (local >= 0) {
+    if (per.shard != hint) {
+      per.stripe->add(ins_.shard_migrations);
+      LOREN_TRACE("service.migrate", per.shard);
+    }
+    return won(local);
   }
   // Every schedule missed (probability 1/n^(beta-o(1)) per shard unless
-  // the namespace really is near-exhausted): deterministic sweep — a
-  // one-cell run-claim per shard, word-at-a-time on a bitmap substrate
-  // (64 cells per snapshot) — so acquire() fails only when zero cells
-  // are free, or fails fast with kSweepBudgetExhausted once the bounded
-  // retry budget (if configured) is spent.
-  const std::uint64_t sweep_cap =
-      options_.sweep_retry_budget == 0
-          ? S
-          : std::min<std::uint64_t>(S, options_.sweep_retry_budget);
-  for (std::uint64_t k = 0; k < sweep_cap; ++k) {
-    const std::uint64_t si = (per.shard + k) & shard_mask_;
-    LOREN_SIM_POINT("service.sweep");
-    per.stripe->add(ins_.sweeps);
-    LOREN_TRACE("service.sweep", si);
-    std::uint64_t u = 0;
-    if (shards_[si]->seg.try_claim_run(0, shard_stride_, 1, &u, plost) == 1) {
-      per.shard = static_cast<std::uint32_t>(si);
-      RegisteredCounter::add(*per.counter, 1);
-      const Name name = static_cast<Name>((u << shard_shift_) | si);
-      if (leases_ != nullptr) {
-        leases_->open(name, leases_->now(), per.hb, per.stripe);
-      }
-      note_probes();
-      return finish(name);
-    }
-  }
+  // the namespace really is near-exhausted): deterministic sweep, so
+  // acquire() fails only when zero cells are free, or fails fast with
+  // kSweepBudgetExhausted once the bounded retry budget (if configured)
+  // is spent.
+  const std::int64_t swept =
+      group_->sweep_acquire(&per.shard, options_.sweep_retry_budget, &stats);
+  per.stripe->add(ins_.sweeps, stats.sweep_shards);
+  LOREN_TRACE("service.sweep", stats.sweep_shards);
+  if (swept >= 0) return won(swept);
   note_probes();
   if (controller_ != nullptr) controller_->note_saturation(*per.stripe);
-  if (sweep_cap < S) {
+  if (swept == ShardGroup::kSweepBudgetTruncated) {
     per.stripe->add(ins_.sweep_budget_exhausted);
     return finish(kSweepBudgetExhausted);
   }
   return finish(kExhausted);
-}
-
-std::uint64_t RenamingService::claim_encoded(Shard& shard,
-                                             std::uint64_t shard_index,
-                                             std::uint64_t from,
-                                             std::uint64_t to, std::uint64_t k,
-                                             Name* out,
-                                             std::uint32_t* lost_races) {
-  return claim_encode_inplace(
-      [&](std::uint64_t* raw) {
-        return shard.seg.try_claim_run(from, to, k, raw, lost_races);
-      },
-      shard_shift_, shard_index, out);
 }
 
 std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
@@ -608,26 +449,15 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
     // the shared namespace, whatever was asked.
     want = std::min<std::uint64_t>(want, controller_->batch_limit());
   }
-  std::uint32_t probes = 0;
-  std::uint32_t lost = 0;
-  std::uint32_t* const pprobes = ins_.detailed ? &probes : nullptr;
-  std::uint32_t* const plost = ins_.detailed ? &lost : nullptr;
-  // The shared seed-and-run-claim ring walk (renaming/batch_claim.h): a
-  // shortfall past its sweep backstop means fewer than k cells were free
-  // across the whole namespace when scanned — unless the bounded sweep
-  // budget truncated the scan, which is counted, not conflated.
+  // The group's seed-and-run-claim ring walk: a shortfall past its sweep
+  // backstop means fewer than k cells were free across the whole
+  // namespace when scanned — unless the bounded sweep budget truncated
+  // the scan, which is counted, not conflated.
   bool budget_hit = false;
-  BatchWalkStats walk;
-  const std::uint64_t shared_got = batch_claim_ring(
-      shard_mask_, shard_shift_, shard_stride_, &per.shard, want, out + got,
-      [&](std::uint64_t si, bool* late) {
-        return probe_shard(*shards_[si], si, ctx.rng, *late, pprobes, plost);
-      },
-      [&](std::uint64_t si, std::uint64_t from, std::uint64_t to,
-          std::uint64_t budget, Name* dst) {
-        return claim_encoded(*shards_[si], si, from, to, budget, dst, plost);
-      },
-      options_.sweep_retry_budget, &budget_hit, &walk);
+  ShardGroup::ProbeStats stats;
+  const std::uint64_t shared_got = group_->try_acquire_many(
+      ctx.rng, &per.shard, want, out + got, options_.sweep_retry_budget,
+      &budget_hit, &stats);
   if (budget_hit) {
     per.stripe->add(ins_.sweep_budget_exhausted);
   }
@@ -640,14 +470,16 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
     }
     controller_->note_ops(*per.stripe, got + shared_got, per.op_tick);
   }
-  if (walk.sweep_shards > 0) {
-    per.stripe->add(ins_.sweeps, walk.sweep_shards);
-    LOREN_TRACE("service.sweep", walk.sweep_shards);
+  if (stats.sweep_shards > 0) {
+    per.stripe->add(ins_.sweeps, stats.sweep_shards);
+    LOREN_TRACE("service.sweep", stats.sweep_shards);
   }
   if (ins_.detailed) {
-    per.stripe->record(ins_.ring_walk, walk.ring_shards);
-    if (probes != 0) per.stripe->record(ins_.probe_len, probes);
-    if (lost != 0) per.stripe->record(ins_.lost_races, lost);
+    per.stripe->record(ins_.ring_walk, stats.ring_shards);
+    if (stats.probes != 0) per.stripe->record(ins_.probe_len, stats.probes);
+    if (stats.lost_races != 0) {
+      per.stripe->record(ins_.lost_races, stats.lost_races);
+    }
   }
   if (shared_got > 0) {
     RegisteredCounter::add(*per.counter, static_cast<std::int64_t>(shared_got));
@@ -689,9 +521,7 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
       // rejected here, never applied. The guard trip is counted.
       continue;
     }
-    const std::uint64_t si = static_cast<std::uint64_t>(name) & shard_mask_;
-    const std::uint64_t local = static_cast<std::uint64_t>(name) >> shard_shift_;
-    if (shards_[si]->seg.try_release(local)) ++freed;
+    if (group_->release_local(static_cast<std::uint64_t>(name))) ++freed;
   }
   if (freed > 0) {
     RegisteredCounter::add(counter, -static_cast<std::int64_t>(freed));
@@ -731,10 +561,7 @@ std::uint64_t RenamingService::release_many(const Name* names,
     if (name < 0 || static_cast<std::uint64_t>(name) >= capacity_) continue;
     if (st.contains(name)) continue;  // same-thread double release
     if (!st.full()) {
-      const std::uint64_t si = static_cast<std::uint64_t>(name) & shard_mask_;
-      const std::uint64_t local =
-          static_cast<std::uint64_t>(name) >> shard_shift_;
-      if (shards_[si]->seg.read(local) != 1) continue;  // not held
+      if (!group_->is_held(static_cast<std::uint64_t>(name))) continue;
       // Absorbing a name re-homes its lease onto this thread's heartbeat
       // (the original holder may exit; the stash must keep it alive). A
       // rebind the reaper already beat means the cell isn't ours to park.
@@ -763,8 +590,7 @@ std::uint64_t RenamingService::release_many(const Name* names,
 
 bool RenamingService::release(Name name) {
   if (name < 0 || static_cast<std::uint64_t>(name) >= capacity_) return false;
-  const std::uint64_t si = static_cast<std::uint64_t>(name) & shard_mask_;
-  const std::uint64_t local = static_cast<std::uint64_t>(name) >> shard_shift_;
+  const auto local = static_cast<std::uint64_t>(name);
   ThreadCtx& ctx = thread_ctx(options_.seed);
   auto& per = ctx.for_service(id_, ctx.slot & shard_mask_, options_.name_cache_capacity);
   if (leases_ != nullptr) {
@@ -795,7 +621,7 @@ bool RenamingService::release(Name name) {
     // acquisition. Contract-violating races (two threads releasing one
     // held name) are undetectable without the RMW — see release()'s
     // contract in service.h.
-    if (shards_[si]->seg.read(local) != 1) return finish(false);
+    if (!group_->is_held(local)) return finish(false);
     // Absorbing re-homes the lease onto this thread (see release_many).
     if (leases_ != nullptr &&
         !leases_->rebind(name, leases_->now(), per.hb) &&
@@ -818,7 +644,7 @@ bool RenamingService::release(Name name) {
     // reject the late release rather than free someone else's cell.
     return finish(false);
   }
-  if (!shards_[si]->seg.try_release(local)) return finish(false);
+  if (!group_->release_local(local)) return finish(false);
   if (per.counter == nullptr) {
     per.counter = &live_.register_thread();
     per.stripe = &ins_.registry->stripe();
@@ -864,13 +690,13 @@ std::uint32_t RenamingService::thread_cache_capacity() const {
 }
 
 void RenamingService::reset() {
-  for (auto& shard : shards_) shard->reset();
+  group_->reset();
   live_.reset();
-  // Drop every lease without reclaiming — the epoch bumps above already
+  // Drop every lease without reclaiming — the epoch bump above already
   // freed every cell, so reclaim callbacks would double-free.
   if (leases_ != nullptr) leases_->clear();
   // Invalidate every thread's stash: contents are discarded (not spilled)
-  // on the owning thread's next call, because the epoch bumps above
+  // on the owning thread's next call, because the epoch bump above
   // already made the stashed cells winnable again.
   // sim:exempt(reset() requires external quiescence; nothing races it)
   cache_gen_.fetch_add(1, std::memory_order_relaxed);

@@ -3,9 +3,13 @@
 // The ConcurrentRenamer is one ReBatching object over one arena: every
 // thread probes the same B_0, and under churn all acquisitions funnel
 // through one probe geometry and one set of hot lines. The service splits
-// the namespace into S shards (a power of two), each an independent
-// cache-line-padded TasArena with its own flattened ReBatching layout
-// sized for n/S holders. A thread probes a *sticky* shard — initially its
+// the namespace into S shards (a power of two): one ShardGroup
+// (renaming/shard_group.h), the namespace layer it shares with the
+// elastic service — a single cache-line-padded arena carved into S shard
+// segments, each with a flattened ReBatching layout sized for n/S
+// holders. The service owns exactly that one group (tag 0, generation 1,
+// never retired): an elastic service with growth off and one generation
+// that never swaps. A thread probes a *sticky* shard — initially its
 // home shard, a cheap dense thread hash — so disjoint thread groups run
 // on disjoint memory, and S is chosen so one padded shard fits in L1:
 // under churn a thread's entire probe target stays cache-resident, which
@@ -37,8 +41,8 @@
 //     per-call reseed-from-ticket of ConcurrentRenamer::get_name_direct
 //     (a shared fetch_add + six SplitMix64 rounds per acquisition)
 //     happens once per thread here;
-//   * padded L1-sized arenas — concurrent wins on distinct names never
-//     share a cache line, and a sticky thread's probes stay in L1;
+//   * padded L1-sized shard segments — concurrent wins on distinct names
+//     never share a cache line, and a sticky thread's probes stay in L1;
 //   * registered per-thread live counter — bookkeeping is a plain store
 //     to a thread-owned cache line, not a locked RMW, and acquire/release
 //     never serialize on one cell;
@@ -47,70 +51,26 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "control/adaptive_controller.h"
 #include "lease/lease_table.h"
-#include "platform/rng.h"
 #include "platform/registered_counter.h"
 #include "renaming/acquire_result.h"
-#include "renaming/batch_layout.h"
-#include "renaming/probe_schedule.h"
+#include "renaming/shard_group.h"
 #include "renaming/thread_ctx.h"
 #include "sim/env.h"
-#include "tas/arena_segment.h"
-#include "tas/bitmap_arena.h"
-#include "tas/tas_arena.h"
 #include "telemetry/metrics.h"
 
 namespace loren {
-
-/// The auto-sharding heuristic shared by RenamingService and the elastic
-/// shard groups: the smallest power-of-two shard count such that (a)
-/// hardware threads get distinct home shards and (b) a shard's arena fits
-/// in half an L1d (32 KiB), clamped so every shard still serves >= 64
-/// holders (tiny shards overflow constantly and every acquisition
-/// degenerates to stealing).
-///
-/// `kind` is the substrate the shards are built on, and (b) measures its
-/// real footprint: one 64-byte line per cell for kCellProbe, one padded
-/// 64-byte word slot per 64 cells for kBitmap. So a bitmap shard holds
-/// 64x the cells of a cell-probe shard before (b) splits it, and a large
-/// bitmap namespace gets about one shard per hardware thread.
-///
-/// `hw_threads` is the hardware thread count to shard for; 0 means
-/// "unknown" (std::thread::hardware_concurrency() is allowed to return 0)
-/// and is treated as 1 — left unclamped it would silently disable the
-/// distinct-home-shards growth condition. Injectable so the policy is
-/// unit-testable without faking the host's topology.
-std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
-                               std::uint32_t hw_threads,
-                               ArenaKind kind = ArenaKind::kCellProbe);
-/// Convenience overload: shard for this host (hardware_concurrency()).
-std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
-                               ArenaKind kind = ArenaKind::kCellProbe);
-
-/// Resolves a requested shard count: 0 = auto_shard_count, otherwise
-/// rounded up to a power of two and clamped so a shard never serves less
-/// than one holder. One policy for RenamingService and the elastic groups,
-/// each passing its own substrate. The form without `hw_threads` uses
-/// this host's hardware_concurrency().
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params,
-                              ArenaKind kind = ArenaKind::kCellProbe);
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params,
-                              std::uint32_t hw_threads,
-                              ArenaKind kind = ArenaKind::kCellProbe);
 
 struct RenamingServiceOptions {
   double epsilon = 0.5;
   /// Number of shards, rounded up to a power of two. 0 = auto: enough
   /// shards that (a) hardware threads get distinct home shards and (b) a
-  /// shard's arena (of `arena_kind`) fits in half an L1d (32 KiB),
-  /// clamped so every shard still serves >= 64 holders.
+  /// shard's padded arena segment (of `arena_kind`) fits in half an L1d
+  /// (32 KiB), clamped so every shard still serves >= 64 holders (see
+  /// auto_shard_count).
   std::uint64_t shards = 0;
-  ArenaLayout arena_layout = ArenaLayout::kPadded;
   /// Substrate for the shard arenas: kCellProbe (TasArena, one RMW per
   /// cell probed) or kBitmap (BitmapArena, 64 cells per probe via word
   /// scans — see tas/bitmap_arena.h for the tradeoff). kCellProbe by
@@ -236,7 +196,7 @@ class RenamingService {
   /// transiently come up short even though k cells were free at every
   /// instant (cells freed behind the scan cursor are not revisited) —
   /// callers that must have all k retry the remainder. One sticky-shard
-  /// ring walk (renaming/batch_claim.h): per visited shard a single
+  /// ring walk (ShardGroup::try_acquire_many): per visited shard a single
   /// probe-schedule walk seeds a linear run-claim
   /// (TasArena::try_claim_run), the deterministic sweep backstops, and
   /// the live counter gets one add of +got — so a batch of k costs one
@@ -295,7 +255,7 @@ class RenamingService {
   /// introspection, never needed on the hot path.
   [[nodiscard]] lease::LeaseTable* lease_table() const { return leases_.get(); }
 
-  /// O(S) full reset: epoch-bumps every shard arena, zeroes the live
+  /// O(1) full reset: epoch-bumps the group's arena, zeroes the live
   /// counter, and invalidates every thread's stash (their contents are
   /// discarded on the owning thread's next call — the epoch bump already
   /// freed the cells). Not safe concurrently with acquire/release —
@@ -306,9 +266,10 @@ class RenamingService {
   /// Every issued name is < capacity(); each shard is laid out for
   /// shard_holders() concurrent holders.
   [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t num_shards() const { return shards_.size(); }
-  [[nodiscard]] std::uint64_t shard_holders() const { return shard_n_; }
-  [[nodiscard]] ArenaLayout arena_layout() const { return options_.arena_layout; }
+  [[nodiscard]] std::uint64_t num_shards() const { return shard_mask_ + 1; }
+  [[nodiscard]] std::uint64_t shard_holders() const {
+    return group_->shard_layout().n();
+  }
   [[nodiscard]] ArenaKind arena_kind() const { return options_.arena_kind; }
   /// Approximate while calls are in flight, exact at quiescence (after
   /// the workers have been joined or otherwise synchronized). Names
@@ -361,41 +322,6 @@ class RenamingService {
   [[nodiscard]] std::uint64_t home_shard() const;
 
  private:
-  struct Shard {
-    Shard(std::uint64_t holders, const BatchLayoutParams& params,
-          ArenaLayout arena_layout, ArenaKind arena_kind)
-        : layout(holders, params), schedule(layout) {
-      if (arena_kind == ArenaKind::kBitmap) {
-        bitmap = std::make_unique<BitmapArena>(layout.total(), arena_layout);
-        seg = ArenaSegment(*bitmap, 0, layout.total());
-      } else {
-        arena = std::make_unique<TasArena>(layout.total(), arena_layout);
-        seg = ArenaSegment(*arena, 0, layout.total());
-      }
-    }
-
-    void reset() {
-      if (bitmap != nullptr) {
-        bitmap->reset();
-      } else {
-        arena->reset();
-      }
-    }
-
-    BatchLayout layout;
-    FlatProbeSchedule schedule;
-    /// Exactly one substrate is engaged (by options.arena_kind); all
-    /// probe/claim/release traffic goes through `seg`, which dispatches.
-    std::unique_ptr<TasArena> arena;
-    std::unique_ptr<BitmapArena> bitmap;
-    ArenaSegment seg;
-  };
-
-  /// Wins arriving at or past this probe position mean the shard is
-  /// running hot (expected position under the analysis' load is O(1)),
-  /// and the caller's sticky hint migrates to the next shard.
-  static constexpr std::ptrdiff_t kMigrateThreshold = 8;
-
   /// Detailed-mode sampling: every (mask+1)-th acquire/release on a
   /// thread is the observed sample — timestamped, probe counts
   /// accumulated and recorded. 1-in-256 keeps the histograms
@@ -428,23 +354,6 @@ class RenamingService {
     telemetry::MetricId ring_walk = 0;
   };
 
-  /// Walk one shard's flattened probe schedule. Returns the interleaved
-  /// global name, or -1 on a full miss; sets `late` when the win arrived
-  /// at or past kMigrateThreshold. `probes` (optional) accumulates the
-  /// schedule slots walked (win position + 1, or the full schedule on a
-  /// miss); `lost_races` forwards the substrate's observable-loss count.
-  sim::Name probe_shard(Shard& shard, std::uint64_t shard_index,
-                        Xoshiro256& rng, bool& late,
-                        std::uint32_t* probes = nullptr,
-                        std::uint32_t* lost_races = nullptr);
-
-  /// Run-claim over `shard`'s cells [from, to), encoding wins as
-  /// interleaved global names directly into `out`. Returns the count.
-  std::uint64_t claim_encoded(Shard& shard, std::uint64_t shard_index,
-                              std::uint64_t from, std::uint64_t to,
-                              std::uint64_t k, sim::Name* out,
-                              std::uint32_t* lost_races = nullptr);
-
   /// The shared (arena + counter) release path, bypassing the stash: the
   /// try_release loop plus one add to `counter` (the caller's already-
   /// resolved registered node, so chunked callers don't re-pay the
@@ -470,8 +379,8 @@ class RenamingService {
                        RegisteredCounter::Node& counter,
                        telemetry::MetricsRegistry::ThreadStripe& stripe);
 
-  /// LeaseTable::ReclaimFn: frees an expired name's cell back into its
-  /// shard arena. The live counter is adjusted by the *reaping* thread
+  /// LeaseTable::ReclaimFn: frees an expired name's cell back into the
+  /// group. The live counter is adjusted by the *reaping* thread
   /// (which has a counter node); this callback has no thread context.
   static bool reclaim_cell(void* ctx, sim::Name name);
 
@@ -506,18 +415,14 @@ class RenamingService {
   /// cached state — in particular a counter node pointing into a freed
   /// registry.
   std::uint64_t id_;
-  std::uint64_t shard_n_ = 0;       // holders each shard is laid out for
-  std::uint64_t shard_stride_ = 0;  // cells per shard (equal across shards)
-  std::uint64_t shard_mask_ = 0;    // num_shards - 1 (power of two)
-  std::uint32_t shard_shift_ = 0;   // log2(num_shards)
+  /// The namespace: one group, built once and never swapped. Names are
+  /// its group-local names (no tag). Its striped live counter and retire
+  /// fields go unused here (live_ below is the bookkeeping).
+  std::unique_ptr<ShardGroup> group_;
+  /// Cached copies of the group's geometry for the op prologues: the
+  /// home-shard mask and the release range check.
+  std::uint64_t shard_mask_ = 0;
   std::uint64_t capacity_ = 0;
-  /// unique_ptr per shard: Shard owns its arena (a TasArena or a
-  /// BitmapArena per options_.arena_kind; non-movable storage either
-  /// way) and each arena's cell block is independently allocated, so
-  /// shards never share an allocation — and, on the padded cell-probe
-  /// substrate, never a cache line (bitmap shards pack 64+ cells per
-  /// line by design; see tas/bitmap_arena.h for that tradeoff).
-  std::vector<std::unique_ptr<Shard>> shards_;
   RegisteredCounter live_;
   /// Stash-invalidation generation: reset() bumps it, and a stash tagged
   /// with an older value discards its contents on its owner's next call

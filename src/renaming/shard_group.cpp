@@ -1,15 +1,79 @@
-#include "elastic/shard_group.h"
+#include "renaming/shard_group.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <thread>
 
+#include "platform/cacheline.h"
 #include "platform/sim_point.h"
-#include "renaming/batch_claim.h"
 
 namespace loren {
 
+namespace {
+
+/// A shard arena's real footprint: the cell-probe TasArena spends a
+/// padded line per cell, the BitmapArena a padded word slot per 64 cells.
+std::uint64_t padded_shard_bytes(std::uint64_t n, std::uint64_t shards,
+                                 const BatchLayoutParams& params,
+                                 ArenaKind kind) {
+  const std::uint64_t holders = (n + shards - 1) / shards;
+  std::uint64_t cells = BatchLayout(holders, params).total();
+  if (kind == ArenaKind::kBitmap) {
+    cells = (cells + BitmapArena::kBitsPerWord - 1) / BitmapArena::kBitsPerWord;
+  }
+  return cells * kCacheLine;
+}
+
+}  // namespace
+
+std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
+                               std::uint32_t hw_threads, ArenaKind kind) {
+  // hardware_concurrency() may legitimately return 0 ("unknown"). Treat
+  // it as 1 — the conservative reading, made explicit here rather than
+  // left to the accident that `shards < 0u` is unsatisfiable (the clamp
+  // pins the hw==0 contract down so it is documented and, with hw
+  // injectable, unit-tested; the L1-size condition below still drives
+  // the shard count up for large namespaces).
+  const std::uint64_t hw = std::max<std::uint32_t>(1u, hw_threads);
+  // Grow while (a) hardware threads would share home shards or (b) a
+  // shard's arena spills out of half an L1d — the sticky hot path is
+  // fastest when a thread's whole probe target is cache-resident — but
+  // never shard below 64 holders.
+  constexpr std::uint64_t kHalfL1 = 32 * 1024;
+  std::uint64_t shards = 1;
+  while (n / (shards * 2) >= 64 &&
+         (shards < hw ||
+          padded_shard_bytes(n, shards, params, kind) > kHalfL1)) {
+    shards <<= 1;
+  }
+  return shards;
+}
+
+std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
+                               ArenaKind kind) {
+  return auto_shard_count(n, params, std::thread::hardware_concurrency(),
+                          kind);
+}
+
+std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
+                              const BatchLayoutParams& params,
+                              std::uint32_t hw_threads, ArenaKind kind) {
+  if (requested == 0) return auto_shard_count(n, params, hw_threads, kind);
+  std::uint64_t shards = 1;
+  while (shards < requested) shards <<= 1;  // round up to a power of two
+  while (shards > 1 && shards > n) shards >>= 1;
+  return shards;
+}
+
+std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
+                              const BatchLayoutParams& params, ArenaKind kind) {
+  return shard_count_for(n, requested, params,
+                         std::thread::hardware_concurrency(), kind);
+}
+
 ShardGroup::ShardGroup(std::uint32_t tag, std::uint64_t generation,
                        std::uint64_t holders, std::uint64_t shards,
-                       ArenaLayout arena_layout, ArenaKind arena_kind,
+                       ArenaKind arena_kind,
                        std::shared_ptr<const CachedSchedule> schedule)
     : tag_(tag),
       generation_(generation),
@@ -24,9 +88,9 @@ ShardGroup::ShardGroup(std::uint32_t tag, std::uint64_t generation,
   for (std::uint64_t s = shards; s > 1; s >>= 1) ++shard_shift_;
   const std::uint64_t total = shard_stride_ * shards;
   if (arena_kind == ArenaKind::kBitmap) {
-    bitmap_ = std::make_unique<BitmapArena>(total, arena_layout);
+    bitmap_ = std::make_unique<BitmapArena>(total);
   } else {
-    arena_ = std::make_unique<TasArena>(total, arena_layout);
+    arena_ = std::make_unique<TasArena>(total);
   }
   segments_.reserve(shards);
   for (std::uint64_t i = 0; i < shards; ++i) {
@@ -134,11 +198,16 @@ std::uint64_t ShardGroup::claim_encoded(std::uint64_t si, std::uint64_t from,
                                         std::uint64_t to, std::uint64_t k,
                                         std::int64_t* out,
                                         std::uint32_t* lost_races) {
-  return claim_encode_inplace(
-      [&](std::uint64_t* raw) {
-        return segments_[si].try_claim_run(from, to, k, raw, lost_races);
-      },
-      shard_shift_, si, out);
+  // Claim raw cell indices into the caller's slots, then encode in place:
+  // uint64/int64 alias legally and every index fits either, so no scratch
+  // buffer is needed.
+  auto* raw = reinterpret_cast<std::uint64_t*>(out);
+  const std::uint64_t got =
+      segments_[si].try_claim_run(from, to, k, raw, lost_races);
+  for (std::uint64_t i = 0; i < got; ++i) {
+    out[i] = static_cast<std::int64_t>((raw[i] << shard_shift_) | si);
+  }
+  return got;
 }
 
 std::uint64_t ShardGroup::try_acquire_many(Xoshiro256& rng,
@@ -149,29 +218,53 @@ std::uint64_t ShardGroup::try_acquire_many(Xoshiro256& rng,
                                            ProbeStats* stats) {
   std::uint32_t* const lost =
       stats != nullptr ? &stats->lost_races : nullptr;
-  BatchWalkStats walk;
-  const std::uint64_t got = batch_claim_ring(
-      shard_mask_, shard_shift_, shard_stride_, sticky, k, out,
-      [&](std::uint64_t si, bool* late) {
-        return probe_segment(si, rng, late, stats);
-      },
-      [&](std::uint64_t si, std::uint64_t from, std::uint64_t to,
-          std::uint64_t budget, std::int64_t* dst) {
-        return claim_encoded(si, from, to, budget, dst, lost);
-      },
-      sweep_budget, sweep_budget_hit, stats != nullptr ? &walk : nullptr);
+  const std::uint64_t S = shard_mask_ + 1;
+  std::uint64_t got = 0;
+  // Phase 1 — schedule-seeded run claims: per visited shard, one probe
+  // walk wins a seed cell and the remaining demand is run-claimed from
+  // the seed forward, then wrapping once to the cells before it. The
+  // origin is captured up front: the sticky hint moves during the walk,
+  // and indexing off the live hint would revisit shards and skip others.
+  const std::uint32_t origin = *sticky;
+  std::uint64_t walked = 0;
+  for (; walked < S && got < k; ++walked) {
+    const std::uint64_t si = (origin + walked) & shard_mask_;
+    bool late = false;
+    const std::int64_t seed = probe_segment(si, rng, &late, stats);
+    if (seed < 0) continue;
+    out[got++] = seed;
+    const std::uint64_t x = static_cast<std::uint64_t>(seed) >> shard_shift_;
+    if (got < k) {
+      got += claim_encoded(si, x + 1, shard_stride_, k - got, out + got, lost);
+    }
+    if (got < k) got += claim_encoded(si, 0, x, k - got, out + got, lost);
+    if (walked != 0) {
+      *sticky = static_cast<std::uint32_t>(si);
+    } else if (late) {
+      *sticky = static_cast<std::uint32_t>((si + 1) & shard_mask_);
+    }
+  }
   if (stats != nullptr) {
-    stats->ring_shards += walk.ring_shards;
-    stats->sweep_shards += walk.sweep_shards;
+    stats->ring_shards += static_cast<std::uint32_t>(walked);
+  }
+  if (got == k) return got;
+  // Phase 2 — deterministic sweep backstop from the (possibly moved)
+  // hint: a shortfall past here is true (near-)exhaustion — or, with a
+  // budget set, a deliberately truncated scan, reported separately.
+  const std::uint64_t cap =
+      sweep_budget == 0 || sweep_budget > S ? S : sweep_budget;
+  const std::uint32_t origin2 = *sticky;
+  std::uint64_t w = 0;
+  for (; w < cap && got < k; ++w) {
+    const std::uint64_t si = (origin2 + w) & shard_mask_;
+    LOREN_SIM_POINT("group.sweep");
+    got += claim_encoded(si, 0, shard_stride_, k - got, out + got, lost);
+  }
+  if (stats != nullptr) stats->sweep_shards += static_cast<std::uint32_t>(w);
+  if (got < k && cap < S && sweep_budget_hit != nullptr) {
+    *sweep_budget_hit = true;
   }
   return got;
-}
-
-bool ShardGroup::release_local(std::uint64_t local) {
-  if (local >= local_capacity()) return false;
-  const std::uint64_t si = local & shard_mask_;
-  const std::uint64_t cell = local >> shard_shift_;
-  return segments_[si].try_release(cell);
 }
 
 }  // namespace loren

@@ -1,27 +1,32 @@
-// ShardGroup: one generation of the elastic namespace.
+// ShardGroup: the sharded namespace layer of both renaming services.
 //
-// A shard group is the unit the ElasticRenamingService publishes, retires,
-// and reclaims: a fixed probe geometry (BatchLayout for n_g/S holders per
-// shard, flattened once and shared via ScheduleCache) over a *single*
+// A shard group is a fixed probe geometry (BatchLayout for n_g/S holders
+// per shard, flattened once and shared via CachedSchedule) over a *single*
 // arena — a cell-probe TasArena or a word-packed BitmapArena, chosen by
-// ArenaKind — carved into S shard segments. One allocation per group —
-// not one per shard — so the epoch-based resize protocol frees a retired
+// ArenaKind — carved into S shard segments. The fixed RenamingService owns
+// exactly one group for its whole lifetime (tag 0, generation 1, never
+// retired); the ElasticRenamingService publishes, retires and reclaims a
+// sequence of them, one per generation. One allocation per group — not
+// one per shard — so the epoch-based resize protocol frees a retired
 // generation with one deallocation, and a group's whole footprint
 // appears/disappears atomically from the service's accounting.
 //
-// Within a group the probing discipline is the RenamingService one
-// (service.h): sticky shard, ring migration on late wins, ring stealing
-// on schedule misses, deterministic sweep as the exhaustion backstop.
-// Names are group-local here — (cell << shard_shift) | shard — and gain
-// their group tag only at the service layer (elastic_service.h), which is
-// also where uniqueness across generations is argued.
+// The probing discipline: sticky shard, ring migration on late wins, ring
+// stealing on schedule misses, deterministic sweep as the exhaustion
+// backstop. Names are group-local here — (cell << shard_shift) | shard,
+// so mapping a name back to its shard is a mask, not a division. The
+// fixed service issues them as they are; the elastic service adds its
+// group tag (elastic_service.h), which is also where uniqueness across
+// generations is argued.
 //
-// The striped live counter is the group's drain detector: acquisitions
-// increment it inside an epoch pin, so once the service has (a) unpublished
-// the group from the live pointer and (b) seen the retire epoch quiesce,
-// the counter is monotonically non-increasing, and zero means drained —
-// no name from this generation is still held, so the group can be
-// unlinked and, after a second quiescence, freed.
+// The striped live counter is the elastic service's drain detector:
+// acquisitions increment it inside an epoch pin, so once the service has
+// (a) unpublished the group from the live pointer and (b) seen the retire
+// epoch quiesce, the counter is monotonically non-increasing, and zero
+// means drained — no name from this generation is still held, so the
+// group can be unlinked and, after a second quiescence, freed. The fixed
+// service keeps its own per-thread bookkeeping and leaves the counter and
+// the retire fields unused.
 #pragma once
 
 #include <cstdint>
@@ -30,25 +35,63 @@
 
 #include "platform/rng.h"
 #include "platform/striped_counter.h"
+#include "renaming/batch_layout.h"
 #include "renaming/schedule_cache.h"
 #include "tas/arena_segment.h"
+#include "tas/bitmap_arena.h"
 #include "tas/tas_arena.h"
 
 namespace loren {
+
+/// The auto-sharding heuristic shared by both services: the smallest
+/// power-of-two shard count such that (a) hardware threads get distinct
+/// home shards and (b) a shard's arena fits in half an L1d (32 KiB),
+/// clamped so every shard still serves >= 64 holders (tiny shards
+/// overflow constantly and every acquisition degenerates to stealing).
+///
+/// `kind` is the substrate the shards are built on, and (b) measures its
+/// real footprint: one 64-byte line per cell for kCellProbe, one padded
+/// 64-byte word slot per 64 cells for kBitmap. So a bitmap shard holds
+/// 64x the cells of a cell-probe shard before (b) splits it, and a large
+/// bitmap namespace gets about one shard per hardware thread.
+///
+/// `hw_threads` is the hardware thread count to shard for; 0 means
+/// "unknown" (std::thread::hardware_concurrency() is allowed to return 0)
+/// and is treated as 1 — left unclamped it would silently disable the
+/// distinct-home-shards growth condition. Injectable so the policy is
+/// unit-testable without faking the host's topology.
+std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
+                               std::uint32_t hw_threads,
+                               ArenaKind kind = ArenaKind::kCellProbe);
+/// Convenience overload: shard for this host (hardware_concurrency()).
+std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
+                               ArenaKind kind = ArenaKind::kCellProbe);
+
+/// Resolves a requested shard count: 0 = auto_shard_count, otherwise
+/// rounded up to a power of two and clamped so a shard never serves less
+/// than one holder. One policy for both services, each passing its own
+/// substrate. The form without `hw_threads` uses this host's
+/// hardware_concurrency().
+std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
+                              const BatchLayoutParams& params,
+                              ArenaKind kind = ArenaKind::kCellProbe);
+std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
+                              const BatchLayoutParams& params,
+                              std::uint32_t hw_threads,
+                              ArenaKind kind = ArenaKind::kCellProbe);
 
 class ShardGroup {
  public:
   /// `shards` must be a power of two; `schedule` is the plan for this
   /// group's per-shard holder count (schedule->layout.n() == holders/S).
   /// `arena_kind` picks the substrate: one cell-probe TasArena or one
-  /// word-packed BitmapArena (the elastic service's default), either way
-  /// a single allocation carved into shard segments (the segments
-  /// dispatch, so the probing discipline below is substrate-agnostic
-  /// except for the word-granular probes). The caller sizes `shards` for
-  /// the substrate's bytes (shard_count_for with the same kind).
+  /// word-packed BitmapArena, either way a single padded allocation
+  /// carved into shard segments (the segments dispatch, so the probing
+  /// discipline below is substrate-agnostic except for the word-granular
+  /// probes). The caller sizes `shards` for the substrate's bytes
+  /// (shard_count_for with the same kind).
   ShardGroup(std::uint32_t tag, std::uint64_t generation, std::uint64_t holders,
-             std::uint64_t shards, ArenaLayout arena_layout,
-             ArenaKind arena_kind,
+             std::uint64_t shards, ArenaKind arena_kind,
              std::shared_ptr<const CachedSchedule> schedule);
 
   /// Optional per-call observability (telemetry detailed mode): probe
@@ -65,7 +108,10 @@ class ShardGroup {
 
   /// Walk the shard ring starting at *sticky (updated in place: migrate on
   /// late wins, move to the winning shard when stealing). Returns the
-  /// group-local name, or -1 when every shard's schedule missed.
+  /// group-local name, or -1 when every shard's schedule missed. The
+  /// sticky hint is what keeps a loaded home shard from becoming a tax:
+  /// without it, a thread whose home shard has filled walks that shard's
+  /// whole schedule and fails it on every acquisition before stealing.
   std::int64_t try_acquire(Xoshiro256& rng, std::uint32_t* sticky,
                            ProbeStats* stats = nullptr);
 
@@ -84,15 +130,15 @@ class ShardGroup {
   /// returning the number claimed. One probe-schedule walk finds a seed
   /// cell per visited shard; the rest of that shard's demand is taken by
   /// a linear run-claim around the seed (one cache line at a time — see
-  /// TasArena::try_claim_run). Walks the shard ring from *sticky like
-  /// try_acquire, then falls back to the deterministic sweep
-  /// (renaming/batch_claim.h holds the shared walk), so a shortfall
-  /// (return < k) means the group had fewer than k free cells when
-  /// scanned — the per-batch exhaustion signal the elastic service's
-  /// grow-on-shortfall policy consumes. `sweep_budget` bounds the
-  /// backstop sweep (0 = unbounded); a budget-truncated shortfall sets
-  /// *sweep_budget_hit so the caller can keep it out of the pressure
-  /// signals (see batch_claim.h).
+  /// TasArena::try_claim_run — or one fetch_or per word on a bitmap).
+  /// Walks the shard ring from *sticky like try_acquire, then falls back
+  /// to the deterministic sweep, so a shortfall (return < k) means the
+  /// group had fewer than k free cells when scanned — the per-batch
+  /// exhaustion signal the elastic service's grow-on-shortfall policy
+  /// consumes. `sweep_budget` bounds the backstop sweep (0 = unbounded);
+  /// a budget-truncated shortfall sets *sweep_budget_hit so the caller
+  /// can keep it out of the pressure signals (an elastic service that
+  /// grew on a truncated scan would reintroduce the spurious-grow bug).
   std::uint64_t try_acquire_many(Xoshiro256& rng, std::uint32_t* sticky,
                                  std::uint64_t k, std::int64_t* out,
                                  std::uint64_t sweep_budget = 0,
@@ -102,7 +148,10 @@ class ShardGroup {
   /// Frees a group-local name; false when it is not currently taken
   /// (single-RMW validation, concurrent double releases cannot both
   /// succeed).
-  bool release_local(std::uint64_t local);
+  bool release_local(std::uint64_t local) {
+    if (local >= local_capacity()) return false;
+    return segments_[local & shard_mask_].try_release(local >> shard_shift_);
+  }
 
   /// True iff `local` is currently taken (a plain acquire load, no RMW).
   /// The release path of the thread-local name cache uses this to
@@ -112,8 +161,18 @@ class ShardGroup {
     return segments_[local & shard_mask_].read(local >> shard_shift_) == 1;
   }
 
-  /// Bookkeeping around the arena ops (the service calls these inside the
-  /// same epoch pin as the arena op itself — see shard_group.h preamble).
+  /// O(1) full reset: one epoch bump of the group's arena frees every
+  /// cell. Not safe concurrently with acquire/release — quiesce first.
+  void reset() {
+    if (bitmap_ != nullptr) {
+      bitmap_->reset();
+    } else {
+      arena_->reset();
+    }
+  }
+
+  /// Bookkeeping around the arena ops (the elastic service calls these
+  /// inside the same epoch pin as the arena op itself — see the preamble).
   void note_acquired() { live_.add(1); }
   void note_released() { live_.add(-1); }
   /// Batch variants: one striped add for the whole batch.
@@ -161,10 +220,14 @@ class ShardGroup {
   }
 
  private:
-  /// Same pressure threshold as RenamingService: wins at or past this
-  /// probe position mean the shard is running hot.
+  /// Wins arriving at or past this probe position mean the shard is
+  /// running hot (expected position under the analysis' load is O(1)),
+  /// and the caller's sticky hint migrates to the next shard.
   static constexpr std::ptrdiff_t kMigrateThreshold = 8;
 
+  /// Walk shard `si`'s flattened probe schedule. Returns the group-local
+  /// name, or -1 on a full miss; sets *late when the win arrived at or
+  /// past kMigrateThreshold.
   std::int64_t probe_segment(std::uint64_t si, Xoshiro256& rng, bool* late,
                              ProbeStats* stats = nullptr);
 

@@ -1,13 +1,12 @@
 // ArenaSegment: a relocatable window into a TAS substrate.
 //
-// The sharded services used to give every shard its own TasArena — S
-// independent allocations per service, each with its own epoch word and
-// alignment slack. A segment is instead a non-owning [base, base+size)
-// view of one arena: the elastic service's shard groups allocate a single
-// arena per group and carve it into shard segments, so a whole group is
-// one allocation that can be published, retired, and reclaimed as a unit
-// (the property the epoch-based resize protocol needs), and creating or
-// destroying a group is one malloc/free regardless of shard count.
+// A segment is a non-owning [base, base+size) view of one arena. Both
+// services run on shard groups (renaming/shard_group.h), and a group
+// allocates a single arena and carves it into shard segments: one epoch
+// word and one allocation per namespace, not per shard. So a whole group
+// can be published, retired, and reclaimed as a unit (the property the
+// elastic service's epoch-based resize protocol needs), and creating or
+// destroying a group is one allocation regardless of shard count.
 //
 // A segment exposes the same memory concept as the arena itself
 // (test_and_set / read / write / try_release / size), so BasicDirectEnv
@@ -17,10 +16,10 @@
 // Since the word-scan substrate (tas/bitmap_arena.h) a segment views
 // either arena kind: it holds one of a TasArena* or a BitmapArena* plus
 // the ArenaKind discriminator, and every operation dispatches on one
-// predictable branch. The shard layers (renaming/service.cpp,
-// elastic/shard_group.cpp) stay substrate-agnostic: they ask the segment
-// for its kind once per probe loop and use the word-granular surface
-// (try_claim_word, word-at-a-time try_claim_run) when it is a bitmap.
+// predictable branch. The shard layer (renaming/shard_group.cpp) stays
+// substrate-agnostic: it asks the segment for its kind once per probe
+// loop and uses the word-granular surface (try_claim_word,
+// word-at-a-time try_claim_run) when it is a bitmap.
 #pragma once
 
 #include <cassert>

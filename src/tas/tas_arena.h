@@ -44,6 +44,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <new>
 
@@ -66,16 +67,21 @@ class TasArena {
   /// One allocation of `size` cells, all free, epoch 1. The constructed
   /// arena is immediately usable from any thread; construction itself is
   /// not concurrent with anything (standard object lifetime rules).
+  ///
+  /// No per-cell init loop: calloc's zeroed words are free cells (stamp
+  /// 0), accessed through std::atomic_ref, so construction touches no
+  /// page and each is faulted in on its first probe. On fresh pages (a
+  /// large block, or a heap top trimmed after the last arena died) an
+  /// init loop would fault in the whole namespace up front, one fault
+  /// per 4 KiB, every time a service is built.
   explicit TasArena(std::uint64_t size, ArenaLayout layout = ArenaLayout::kPadded)
       : size_(size),
         layout_(layout),
-        stride_(layout == ArenaLayout::kPadded ? kCacheLine : sizeof(std::uint64_t)) {
-    storage_ = std::make_unique<std::byte[]>(size_ * stride_ + kCacheLine);
+        stride_(layout == ArenaLayout::kPadded ? kCacheLine : sizeof(std::uint64_t)),
+        storage_(static_cast<std::byte*>(std::calloc(size_ * stride_ + kCacheLine, 1))) {
+    if (storage_ == nullptr) throw std::bad_alloc();
     auto base = reinterpret_cast<std::uintptr_t>(storage_.get());
     data_ = reinterpret_cast<std::byte*>((base + kCacheLine - 1) & ~std::uintptr_t(kCacheLine - 1));
-    for (std::uint64_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(data_ + i * stride_)) std::atomic<std::uint64_t>(0);
-    }
   }
 
   /// Returns true iff this call won the TAS: flipped the cell from free
@@ -137,7 +143,7 @@ class TasArena {
     const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
     std::uint64_t got = 0;
     for (std::uint64_t i = begin; i < end && got < k; ++i) {
-      std::atomic<std::uint64_t>& c = cell(i);
+      const std::atomic_ref<std::uint64_t> c = cell(i);
       if (c.load(std::memory_order_acquire) == e) continue;  // taken
       // The load-before-RMW window: a rival can win the free-looking
       // cell between the check and the exchange.
@@ -177,15 +183,19 @@ class TasArena {
   }
 
  private:
-  [[nodiscard]] std::atomic<std::uint64_t>& cell(std::uint64_t i) const {
-    return *std::launder(
-        reinterpret_cast<std::atomic<std::uint64_t>*>(data_ + i * stride_));
+  [[nodiscard]] std::atomic_ref<std::uint64_t> cell(std::uint64_t i) const {
+    return std::atomic_ref<std::uint64_t>(
+        *reinterpret_cast<std::uint64_t*>(data_ + i * stride_));
   }
+
+  struct FreeDeleter {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
 
   std::uint64_t size_;
   ArenaLayout layout_;
   std::size_t stride_;
-  std::unique_ptr<std::byte[]> storage_;
+  std::unique_ptr<std::byte, FreeDeleter> storage_;
   std::byte* data_ = nullptr;
   /// Epochs start at 1 so stamp 0 can mean "never won / released" forever.
   /// Own cache line: the hot path reads it on every probe and reset()

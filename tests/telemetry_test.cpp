@@ -300,6 +300,30 @@ TEST(ServiceTelemetryTest, DetachedServiceKeepsHistogramsOff) {
   EXPECT_EQ(s.histogram("service.acquire.probe_len")->count, 0u);
 }
 
+// A migration is the sticky hint moving to another shard. With one shard
+// the hint cannot move, so a late win on a nearly full service must not
+// count as one.
+TEST(ServiceTelemetryTest, SingleShardServiceCountsNoMigrations) {
+  RenamingServiceOptions opts;
+  opts.shards = 1;
+  opts.name_cache = false;
+  RenamingService svc(256, opts);
+  ASSERT_EQ(svc.num_shards(), 1u);
+  std::vector<sim::Name> held;
+  while (held.size() + 8 < svc.capacity()) {
+    const sim::Name name = svc.acquire();
+    ASSERT_GE(name, 0);
+    held.push_back(name);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const sim::Name name = svc.acquire();
+    ASSERT_GE(name, 0);
+    ASSERT_TRUE(svc.release(name));
+  }
+  MetricsRegistry& reg = svc.metrics_registry();
+  EXPECT_EQ(reg.counter_value(reg.counter("service.shard.migrations")), 0u);
+}
+
 TEST(ServiceTelemetryTest, AttachedRegistrySeesElasticMetrics) {
   MetricsRegistry reg;
   ElasticOptions opts;
