@@ -396,7 +396,7 @@ Name ElasticRenamingService::renew_lease(Name name) {
   }
   lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
                   *per.slot, *per.stripe);
-  return leases_->renew(name, leases_->now(), per.hb, per.stripe) ? name
+  return leases_->renew(name, per.hb->stamp(), per.hb, per.stripe) ? name
                                                           : kLeaseExpired;
 }
 
@@ -507,7 +507,7 @@ Name ElasticRenamingService::acquire() {
         }
         const Name n = encode_name(*g, local, options_.debug_release_guard);
         if (leases_ != nullptr) {
-          leases_->open(n, leases_->now(), per.hb, per.stripe);
+          leases_->open(n, per.hb->stamp(), per.hb, per.stripe);
         }
         return finish(n);
       }
@@ -546,7 +546,7 @@ Name ElasticRenamingService::acquire() {
         per.stripe->add(ins_.sweeps, stats.sweep_shards - swept_before);
         const Name n = encode_name(*g, swept, options_.debug_release_guard);
         if (leases_ != nullptr) {
-          leases_->open(n, leases_->now(), per.hb, per.stripe);
+          leases_->open(n, per.hb->stamp(), per.hb, per.stripe);
         }
         return finish(n);
       }
@@ -627,7 +627,7 @@ bool ElasticRenamingService::release(Name name) {
       // already expired the lease and reclaimed the cell — absorbing now
       // would hand a recycled cell back as a stash hit.
       if (leases_ != nullptr &&
-          !leases_->rebind(name, leases_->now(), per.hb) &&
+          !leases_->rebind(name, per.hb->stamp(), per.hb) &&
           leases_->release_guard()) {
         return finish(false);
       }
@@ -747,16 +747,14 @@ std::uint64_t ElasticRenamingService::acquire_many(std::uint64_t k,
                                   &stats);
       if (round > 0) {
         // One live-counter add and one tag/stamp encode pass per
-        // sub-batch — the whole point of batching. The lease clock is
-        // read once per sub-batch too: every name in the round shares a
-        // registration instant.
+        // sub-batch — the whole point of batching. Every lease opens at
+        // the call's heartbeat stamp: one clock read per call.
         g->note_acquired_n(static_cast<std::int64_t>(round));
-        const std::uint64_t lnow = leases_ != nullptr ? leases_->now() : 0;
         for (std::uint64_t i = 0; i < round; ++i) {
           out[got + i] = encode_name(*g, out[got + i],
                                      options_.debug_release_guard);
           if (leases_ != nullptr) {
-            leases_->open(out[got + i], lnow, per.hb, per.stripe);
+            leases_->open(out[got + i], per.hb->stamp(), per.hb, per.stripe);
           }
         }
         got += round;
@@ -887,7 +885,7 @@ std::uint64_t ElasticRenamingService::release_many(const Name* names,
           }
           // Stash absorb: same rebind-or-reject rule as release().
           if (leases_ != nullptr &&
-              !leases_->rebind(name, leases_->now(), per.hb) &&
+              !leases_->rebind(name, per.hb->stamp(), per.hb) &&
               leases_->release_guard()) {
             continue;
           }

@@ -403,7 +403,8 @@ class ElasticRenamingService {
   /// calling thread's heartbeat, revalidates the stash after a
   /// self-detected stale gap, and, once per scan period, runs the
   /// try_reap poll under an epoch pin (the reclaim callback dereferences
-  /// the tag table).
+  /// the tag table). This is the call's one clock read: later lease ops
+  /// in the call take their tick from hb->stamp().
   void lease_heartbeat(lease::Heartbeat*& hb, NameStash* st,
                        EpochDomain::Slot& slot,
                        telemetry::MetricsRegistry::ThreadStripe& stripe);

@@ -133,8 +133,18 @@ bool LeaseTable::refresh(sim::Name name, std::uint64_t now_ticks,
   if (!owned_by(w, hb)) return trip(hb);
   // Monotone push: if the lease was reaped and reissued since w was
   // read, this can only extend the new holder's deadline, never cut it.
+  // A self-rebind stamped at now_ticks is covered and skips it: the
+  // reaper's max(deadline, beat + ttl) already reaches due, and the
+  // acq_rel CAS below orders the stamp before the new owner word, so a
+  // reaper that acquires that word reads beat >= now_ticks (one that
+  // read the old word fails its CAS). renew, holderless adoption and
+  // foreign rebinds still push.
   const std::uint64_t due = now_ticks + ttl_;
-  std::uint64_t d = c->deadline.load(std::memory_order_relaxed);
+  const bool covered = rebind && hb != nullptr &&
+                       (w & kHolderMask) == holder_bits(hb) &&
+                       hb->stamp() >= now_ticks;
+  std::uint64_t d =
+      covered ? due : c->deadline.load(std::memory_order_relaxed);
   LOREN_SIM_POINT(rebind ? "lease.rebind" : "lease.renew");
   while (d < due && !c->deadline.compare_exchange_weak(
                         d, due, std::memory_order_relaxed)) {

@@ -16,11 +16,15 @@
 // indexed by the name with the elastic generation stamp (bits >=
 // kNameIndexBits) masked off, in chunks created the first time a name in
 // their range is leased. Each cell is an owner word {live bit, holder id,
-// version} plus an exact 64-bit deadline:
+// version} plus an exact 64-bit deadline, padded to its own cache line:
+// names interleave shards in their low bits, so neighbouring cells belong
+// to other threads' home shards and would otherwise share a line.
 //   * open   — a deadline store, then a release store of the owner word;
 //   * close  — one CAS of the owner word to dead;
 //   * renew / rebind — a monotone deadline push, then one CAS that bumps
-//     the version (rebind also installs the new holder id);
+//     the version (rebind also installs the new holder id). A self-rebind
+//     whose heartbeat is already stamped at the call's tick skips the
+//     push: the stamp covers it (see refresh());
 //   * expire — the reaper's CAS of the owner word to dead, taken only
 //     when max(deadline, heartbeat + ttl) + grace <= now.
 // The owner-word CAS orders a holder's op against the reaper: every
@@ -66,9 +70,11 @@ inline constexpr unsigned kNameIndexBits = 48;
 /// One thread's freshness stamp for one service: every op the thread
 /// performs against the service relaxed-stores the current tick here,
 /// which renews *all* of that thread's leases at once (the reaper max()es
-/// the stamp into every effective deadline). Nodes are owned by the
-/// LeaseTable and live as long as it does, so a lease may safely name its
-/// holder's heartbeat even after the holder thread exits. A node is presented
+/// the stamp into every effective deadline). The stamp is also the tick
+/// of every lease op later in the same call: the services read the clock
+/// once per call, in the stamp. Nodes are owned by the LeaseTable and
+/// live as long as it does, so a lease may safely name its holder's
+/// heartbeat even after the holder thread exits. A node is presented
 /// to the table only by the thread that registered it, which is what
 /// makes the tallies below single-writer.
 struct alignas(kCacheLine) Heartbeat {
@@ -76,6 +82,9 @@ struct alignas(kCacheLine) Heartbeat {
   // stores; the reaper tolerates a stale value (staleness can only delay
   // an expiry by one scan, never cause a false one, because the effective
   // deadline is the max of the stamp-derived deadline and the lease's own).
+  // A covered rebind relies on it instead of a deadline push; there the
+  // rebind's acq_rel owner CAS publishes the stamp, so a reaper that
+  // acquires the new owner word reads a stamp at least that recent.
   std::atomic<std::uint64_t> last{0};
   // mo: relaxed -- single-writer tally of leases this holder opened;
   // opened() sums it, exact under quiescence. Mutable: the table counts
@@ -86,6 +95,11 @@ struct alignas(kCacheLine) Heartbeat {
   mutable std::atomic<std::uint64_t> guard_trips{0};
   /// Dense registration id, never reused (the owner word stores id + 1).
   std::uint32_t id = 0;
+
+  /// The latest stamp; exact on the owning thread.
+  [[nodiscard]] std::uint64_t stamp() const {
+    return last.load(std::memory_order_relaxed);
+  }
 };
 
 struct LeaseOptions {
@@ -164,7 +178,8 @@ class LeaseTable {
   /// holderless one onto `hb`) — the stash-absorb hook. Same identity
   /// rule as close(): a lease bound to a *different* live holder is not
   /// stealable; false is a counted guard trip and the caller must not
-  /// absorb the name.
+  /// absorb the name. A lease already bound to `hb` whose stamp is at
+  /// least `now_ticks` keeps its deadline: the stamp covers it.
   [[nodiscard]] bool rebind(sim::Name name, std::uint64_t now_ticks,
                             const Heartbeat* hb);
 
@@ -269,7 +284,9 @@ class LeaseTable {
     std::atomic<T*> chunks_[kChunks] = {};
   };
 
-  struct Cell {
+  // One line per cell: cell i and i + 1 are names of different shards,
+  // so packing them would false-share between home-shard threads.
+  struct alignas(kCacheLine) Cell {
     // mo: acquire, release -- the owner word {live, holder, version}:
     // every transition is a release store (open) or an acq_rel CAS;
     // readers acquire it before trusting the deadline.
@@ -300,7 +317,7 @@ class LeaseTable {
   ReclaimFn reclaim_ = nullptr;
   void* reclaim_ctx_ = nullptr;
 
-  LazyDir<Cell, 8> cells_;  // first chunk: 256 cells, one 4 KiB page
+  LazyDir<Cell, 6> cells_;  // first chunk: 64 cells, one 4 KiB page
   LazyDir<Heartbeat, 6> heartbeats_;
 
   // mo: relaxed -- the op-path scan gate: it only elects who scans when;

@@ -237,7 +237,7 @@ Name RenamingService::renew_lease(Name name) {
   }
   lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
                   *per.counter, *per.stripe);
-  return leases_->renew(name, leases_->now(), per.hb, per.stripe) ? name
+  return leases_->renew(name, per.hb->stamp(), per.hb, per.stripe) ? name
                                                           : kLeaseExpired;
 }
 
@@ -363,7 +363,7 @@ Name RenamingService::acquire() {
     RegisteredCounter::add(*per.counter, 1);
     const Name name = static_cast<Name>(local);
     if (leases_ != nullptr) {
-      leases_->open(name, leases_->now(), per.hb, per.stripe);
+      leases_->open(name, per.hb->stamp(), per.hb, per.stripe);
     }
     note_probes();
     return finish(name);
@@ -484,9 +484,8 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
   if (shared_got > 0) {
     RegisteredCounter::add(*per.counter, static_cast<std::int64_t>(shared_got));
     if (leases_ != nullptr) {
-      const std::uint64_t lnow = leases_->now();
       for (std::uint64_t i = 0; i < shared_got; ++i) {
-        leases_->open(out[got + i], lnow, per.hb, per.stripe);
+        leases_->open(out[got + i], per.hb->stamp(), per.hb, per.stripe);
       }
     }
   }
@@ -566,7 +565,7 @@ std::uint64_t RenamingService::release_many(const Name* names,
       // (the original holder may exit; the stash must keep it alive). A
       // rebind the reaper already beat means the cell isn't ours to park.
       if (leases_ != nullptr &&
-          !leases_->rebind(name, leases_->now(), per.hb) &&
+          !leases_->rebind(name, per.hb->stamp(), per.hb) &&
           leases_->release_guard()) {
         continue;
       }
@@ -624,7 +623,7 @@ bool RenamingService::release(Name name) {
     if (!group_->is_held(local)) return finish(false);
     // Absorbing re-homes the lease onto this thread (see release_many).
     if (leases_ != nullptr &&
-        !leases_->rebind(name, leases_->now(), per.hb) &&
+        !leases_->rebind(name, per.hb->stamp(), per.hb) &&
         leases_->release_guard()) {
       return finish(false);
     }

@@ -375,6 +375,8 @@ class RenamingService {
   /// after a self-detected stale gap (its names may have been reaped),
   /// and, once per scan period, the op-path try_reap poll. The hb
   /// reference is the caller's per-thread per-service context field.
+  /// This is the call's one clock read: later lease ops in the call
+  /// take their tick from hb->stamp().
   void lease_heartbeat(lease::Heartbeat*& hb, NameStash* st,
                        RegisteredCounter::Node& counter,
                        telemetry::MetricsRegistry::ThreadStripe& stripe);

@@ -3,7 +3,8 @@
 //
 //   * open/close/renew/rebind units — live counts, close-after-close and
 //     renew-after-expiry guard trips, rebind re-homing a lease onto a
-//     new holder's heartbeat;
+//     new holder's heartbeat, and a self-rebind skipping its deadline
+//     push only when the holder's stamp covers it;
 //   * expiry boundary — a lease expires at exactly open + ttl + grace,
 //     never one tick earlier (the "no false expiry" half of the reaper
 //     contract, checked to the tick);
@@ -189,6 +190,44 @@ TEST_F(LeaseUnit, RebindEnforcesHolderIdentity) {
   a.last.store(fake_now(), std::memory_order_relaxed);
   EXPECT_EQ(t.reap(t.now(), nullptr), 1u)
       << "a foreign heartbeat kept a rebound lease alive";
+}
+
+TEST_F(LeaseUnit, CoveredSelfRebindExpiresAtStampPlusTtlPlusGrace) {
+  // A self-rebind whose heartbeat is stamped at the rebind's tick keeps
+  // the old deadline: the stamp alone carries the lease to t + ttl +
+  // grace, exactly as the skipped push would have.
+  Reclaimed rec;
+  lease::LeaseTable t(opts_with(/*ttl=*/50, /*grace=*/5), nullptr);
+  t.set_reclaimer(&Reclaimed::sink, &rec);
+  lease::Heartbeat& a = t.register_thread();
+  a.last.store(fake_now(), std::memory_order_relaxed);
+  t.open(3, a.stamp(), &a, nullptr);  // deadline 51
+  g_now = 30;
+  a.last.store(fake_now(), std::memory_order_relaxed);
+  EXPECT_TRUE(t.rebind(3, a.stamp(), &a));
+  g_now = 30 + 50 + 5 - 1;
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u) << "covered rebind expired early";
+  g_now = 30 + 50 + 5;
+  EXPECT_EQ(t.reap(t.now(), nullptr), 1u) << "covered rebind expired late";
+}
+
+TEST_F(LeaseUnit, UncoveredSelfRebindStillPushesTheDeadline) {
+  // A heartbeat older than the rebind's tick does not cover it: the
+  // deadline must move to now + ttl, or the lease would die at the stale
+  // stamp's expiry (1 + 50 + 5 = 56).
+  Reclaimed rec;
+  lease::LeaseTable t(opts_with(/*ttl=*/50, /*grace=*/5), nullptr);
+  t.set_reclaimer(&Reclaimed::sink, &rec);
+  lease::Heartbeat& a = t.register_thread();
+  a.last.store(fake_now(), std::memory_order_relaxed);
+  t.open(3, a.stamp(), &a, nullptr);  // deadline 51
+  g_now = 30;
+  EXPECT_TRUE(t.rebind(3, t.now(), &a));
+  g_now = 30 + 50 + 5 - 1;
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u)
+      << "an uncovered rebind skipped its deadline push";
+  g_now = 30 + 50 + 5;
+  EXPECT_EQ(t.reap(t.now(), nullptr), 1u);
 }
 
 TEST_F(LeaseUnit, WheelCascadeExpiresInDeadlineOrderAcrossClockJumps) {

@@ -19,6 +19,8 @@
 //      trip); with release_guard = false the same schedule applies the
 //      stale release to the new holder's cell and the very next acquire
 //      double-grants the name — the silent ABA the guard exists to stop.
+//      A cached sibling stalls the stash absorb inside LeaseTable's
+//      rebind instead, with the same guarded / unguarded outcomes.
 //
 // Only builds under -DLOREN_SIM (CMakeLists excludes scenario_* tests
 // otherwise): the stalls aim at LOREN_SIM_POINT tags.
@@ -449,6 +451,144 @@ TEST(ScenarioLease, SameScheduleWithGuardOffDoubleGrants) {
   std::string trace;
   EXPECT_TRUE(run_pinned_late_release(/*guard_on=*/false, &trace))
       << "unguarded schedule no longer reproduces the ABA\n"
+      << trace;
+}
+
+// ------------------------ pinned schedule: stash absorb vs expiry ------
+//
+// The cached sibling of the schedule above. With the name cache on, a
+// release parks the name in the thread's stash and rebinds its lease
+// instead of closing it — a self-rebind whose heartbeat was just stamped,
+// so it takes the covered path (no deadline push; the owner-word CAS
+// alone decides). Worker 0 is stalled inside LeaseTable::refresh at the
+// lease.rebind sim point, between its owner-word load and its CAS; while
+// it hangs, worker 1 ages the lease out, reaps it and reissues the cell.
+// Worker 0's absorb then resumes with stale name bits that now denote
+// worker 1's name.
+//
+// Returns true iff the schedule produced a double-grant.
+bool run_pinned_absorb_vs_expiry(bool guard_on, std::string* trace_out) {
+  g_now.store(1, std::memory_order_relaxed);
+  RenamingServiceOptions opts;
+  opts.shards = 1;  // one shard: local index == name, no interleaving
+  opts.name_cache = true;
+  opts.lease.ttl_ticks = 50;
+  opts.lease.grace = 10;
+  opts.lease.clock = &fake_now;
+  opts.lease.release_guard = guard_on;
+  RenamingService svc(4, opts);
+  Checks checks;
+
+  std::atomic<Name> victim_name{-1};
+  std::atomic<bool> victim_done{false};
+  std::atomic<bool> victim_release_applied{false};
+  std::atomic<std::uint32_t> victim_stash{0};
+  std::atomic<bool> double_grant{false};
+
+  Scenario scn;
+  scn.seed = 0xABBu;
+  scn.preempt_every = 1;
+  // Freeze worker 0 inside its release's stash-absorb rebind for long
+  // enough to cover worker 1's whole expiry+reissue dance.
+  scn.stalls.push_back(StallRule{"lease.rebind", 0, 0, 4000, 1});
+
+  ScenarioEngine eng(scn);
+  const bool done = eng.run(
+      {// Worker 0: the absorbing holder. Acquires, then releases into its
+       // stash; the release hangs at lease.rebind until far past expiry.
+       [&](Worker& w) {
+         w.yield("victim.acquire");
+         const Name n = svc.acquire();
+         if (n < 0) {
+           checks.fail("victim acquire failed");
+           return;
+         }
+         victim_name.store(n, std::memory_order_release);
+         w.yield("victim.release");
+         victim_release_applied.store(svc.release(n),
+                                      std::memory_order_release);
+         victim_stash.store(svc.thread_cache_size(),
+                            std::memory_order_release);
+         // Whatever the stash holds goes back through the shared path:
+         // with the guard off, a name absorbed after its lease was
+         // reaped frees the reissued cell here.
+         w.yield("victim.flush");
+         svc.flush_thread_cache();
+         victim_done.store(true, std::memory_order_release);
+       },
+       // Worker 1: owns the rest of the namespace, expires the victim's
+       // lease, takes over its cell, and probes for the double-grant.
+       [&](Worker& w) {
+         Name rest[3];
+         w.yield("driver.prefill");
+         if (svc.acquire_many(3, rest) != 3) {
+           checks.fail("driver prefill failed");
+           return;
+         }
+         while (victim_name.load(std::memory_order_acquire) < 0) {
+           w.yield("driver.wait_hold");
+         }
+         while (svc.lease_expired() == 0) {
+           w.yield("driver.age");
+           g_now.fetch_add(10, std::memory_order_relaxed);
+           if (svc.renew_lease(rest[0]) != rest[0]) {
+             checks.fail("driver's own renew failed");
+             return;
+           }
+           svc.reap_expired();
+           if (g_now.load(std::memory_order_relaxed) > 100000) {
+             checks.fail("victim lease never expired");
+             return;
+           }
+         }
+         w.yield("driver.reissue");
+         const Name taken = svc.acquire();
+         if (taken != victim_name.load(std::memory_order_acquire)) {
+           checks.fail("reissued name " + std::to_string(taken) +
+                       " != victim's " +
+                       std::to_string(victim_name.load()));
+           return;
+         }
+         while (!victim_done.load(std::memory_order_acquire)) {
+           w.yield("driver.wait_release");
+         }
+         // The probe: if the victim's absorb and flush freed *our* cell,
+         // the next acquire double-grants name bits we still hold.
+         w.yield("driver.probe");
+         const Name probe = svc.acquire();
+         if (probe == taken) double_grant.store(true);
+         if (probe >= 0 && probe != taken) svc.release(probe);
+         svc.release(taken);
+         svc.release_many(rest, 3);
+       }});
+  eng.finish();
+
+  EXPECT_TRUE(done) << "livelock guard tripped\n" << eng.trace();
+  EXPECT_GE(eng.stalls_fired(), 1u) << "the rebind stall never fired";
+  EXPECT_TRUE(checks.ok()) << checks.summary() << eng.trace();
+  EXPECT_GE(svc.lease_guard_trips(), 1u)
+      << "the stale absorb was never detected";
+  // Guarded: the absorb is rejected and nothing is parked. Unguarded:
+  // the stash parks worker 1's name.
+  EXPECT_EQ(victim_release_applied.load(), !guard_on);
+  EXPECT_EQ(victim_stash.load(), guard_on ? 0u : 1u);
+  if (trace_out != nullptr) *trace_out = eng.trace();
+  return double_grant.load();
+}
+
+TEST(ScenarioLease, PinnedAbsorbVsExpiryIsRejectedByTheGuard) {
+  std::string trace;
+  EXPECT_FALSE(run_pinned_absorb_vs_expiry(/*guard_on=*/true, &trace))
+      << "guarded stale absorb still double-granted\n"
+      << trace;
+}
+
+TEST(ScenarioLease, SameAbsorbScheduleWithGuardOffDoubleGrants) {
+  // The control: with release_guard off the stale absorb parks the
+  // reissued name, and the flush frees worker 1's cell under it.
+  std::string trace;
+  EXPECT_TRUE(run_pinned_absorb_vs_expiry(/*guard_on=*/false, &trace))
+      << "unguarded absorb schedule no longer reproduces the ABA\n"
       << trace;
 }
 
