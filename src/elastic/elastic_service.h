@@ -89,6 +89,14 @@ struct ElasticOptions {
   /// about one shard per hardware thread.
   ArenaKind arena_kind = ArenaKind::kBitmap;
   std::uint64_t seed = 0xE1A5;
+  /// Per-shard batch geometry of every generation. Unlike
+  /// RenamingServiceOptions, this keeps the paper's proof constant for t0
+  /// (129 at eps = 0.5): auto_grow fires on full-schedule misses, and a
+  /// shorter schedule misses at lower occupancy, so a practical t0 would
+  /// grow the namespace early (a t0 = 8 prototype took burst-grow's
+  /// namespace_ratio from 1.002 to 1.242). Growth has to key on occupancy
+  /// rather than schedule length before t0 can drop here. `epsilon` is
+  /// overwritten by `epsilon` above.
   BatchLayoutParams layout_extra{};
   /// Grow automatically under sustained probe-schedule misses (and always
   /// on true exhaustion). Off = fixed capacity, explicit resize only.

@@ -24,7 +24,8 @@ struct BatchLayoutParams {
   int beta = 3;          // probes on the last batch (paper: beta >= 3 gives
                          // O(n) expected total steps)
   /// Overrides t_0 when positive. The paper's constant 17/eps is chosen for
-  /// proof convenience; the E2/E10 ablations show far smaller values work.
+  /// proof convenience; the E2/E10 ablations show far smaller values work,
+  /// and the fixed RenamingService defaults to 8 (E12).
   int t0_override = 0;
 };
 

@@ -79,7 +79,16 @@ struct RenamingServiceOptions {
   /// cost release latency.
   ArenaKind arena_kind = ArenaKind::kCellProbe;
   std::uint64_t seed = 0x53ED;
-  BatchLayoutParams layout_extra{};
+  /// Per-shard batch geometry. Defaults to the practical probe budget,
+  /// t0 = 8 probes on B_0, not the paper's proof constant
+  /// ceil(17 ln(8e/eps) / eps) (129 at eps = 0.5), which lets a near-full
+  /// shard spend up to 129 cell RMWs before it reaches the emptier small
+  /// batches. The value comes from bench_e12's sweep (docs/protocols.md,
+  /// "Service probe budget"). Assigning the field wholesale
+  /// (`layout_extra = {...}`) drops back to the proof constant unless the
+  /// new value sets t0_override too; `{}` pins the paper's schedule. Its
+  /// `epsilon` is always overwritten by `epsilon` above.
+  BatchLayoutParams layout_extra{.t0_override = 8};
   /// Thread-local name cache: each thread keeps a bounded stash of names
   /// it released against this service, so a steady-state churn thread
   /// re-acquires its own names with zero probes, zero counter traffic and

@@ -222,7 +222,12 @@ class ShardGroup {
  private:
   /// Wins arriving at or past this probe position mean the shard is
   /// running hot (expected position under the analysis' load is O(1)),
-  /// and the caller's sticky hint migrates to the next shard.
+  /// and the caller's sticky hint migrates to the next shard. The
+  /// position is absolute, so what "late" means depends on t0: at the
+  /// fixed service's default t0 = 8, B_0 is positions 0..7 and a late win
+  /// is one that missed B_0 entirely and landed in a small batch; under
+  /// the paper's t0 (129 at eps = 0.5, the elastic default), it is a win
+  /// after 8 or more B_0 misses, still inside B_0.
   static constexpr std::ptrdiff_t kMigrateThreshold = 8;
 
   /// Walk shard `si`'s flattened probe schedule. Returns the group-local
