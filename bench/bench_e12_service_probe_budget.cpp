@@ -1,5 +1,5 @@
-// E12 — the fixed service's probe budget: which t0 should RenamingService
-// ship?
+// E12 — the services' probe budget: which t0 should RenamingService and
+// ElasticRenamingService ship?
 //
 // BatchLayout's t0 = ceil(17 ln(8e/eps) / eps) (129 probes on B_0 at
 // eps = 0.5) is the constant the paper's proof needs. E1 and E11 show that
@@ -27,7 +27,13 @@
 //     sample; median over the same reps;
 //   * failed acquisitions (0 expected: the sweep backstop finds a cell
 //     whenever one is free, and live <= n < capacity).
-// docs/protocols.md ("Service probe budget") records the table that
+// The elastic row fills a default ElasticRenamingService from 1024 holders
+// to 60000 names (perfbench's burst-grow fill: singles and batches of 16)
+// at t0 in {the shipped default, paper}, with 1 and 4 threads, and reports
+// p99 ns per fill call, the namespace ratio (highest group-local name + 1)
+// / holders() and the grow count, each the median over the reps, plus
+// failed acquisitions (0 expected: growth is on).
+// docs/protocols.md ("Service probe budget") records the tables that
 // picked the shipped default.
 //
 // Usage: bench_e12_service_probe_budget [--quick] [--n N] [--pairs P]
@@ -46,6 +52,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "elastic/elastic_service.h"
 #include "platform/rng.h"
 #include "renaming/service.h"
 #include "telemetry/metrics.h"
@@ -59,6 +66,10 @@ constexpr double kEpsilon = 0.5;
 /// The fill issues single acquisitions and batches of this size, half
 /// each, as perfbench's fill-drain workload does.
 constexpr std::uint64_t kFillBatch = 16;
+/// The elastic row's fill: perfbench burst-grow's initial holder count and
+/// live target.
+constexpr std::uint64_t kElasticInitial = 1024;
+constexpr std::uint64_t kElasticLive = 60000;
 
 struct Config {
   std::uint64_t n = 16384;
@@ -82,6 +93,15 @@ struct Cell {
   std::uint64_t probe_samples = 0;
   double ns_per_pair = 0.0;
   double fill_p99_ns = 0.0;
+  std::uint64_t failed = 0;
+};
+
+struct ElasticCell {
+  int t0 = 0;  // 0 = the paper's constant
+  unsigned threads = 0;
+  double fill_p99_ns = 0.0;
+  double namespace_ratio = 0.0;
+  double grows = 0.0;
   std::uint64_t failed = 0;
 };
 
@@ -216,6 +236,81 @@ Cell run_cell(const Config& cfg, int t0, double occupancy, unsigned threads,
   return cell;
 }
 
+/// One timed fill of a fresh elastic service to kElasticLive names.
+ElasticCell run_elastic_pass(int t0, unsigned threads, std::uint64_t seed) {
+  ElasticOptions opts;
+  opts.seed = seed;
+  opts.layout_extra = BatchLayoutParams{.t0_override = t0};
+  ElasticRenamingService svc(kElasticInitial, opts);
+  std::barrier sync(static_cast<std::ptrdiff_t>(threads));
+  std::vector<std::vector<double>> fill_ns(threads);
+  std::vector<std::uint64_t> max_local(threads, 0);
+  std::vector<std::uint64_t> failed(threads, 0);
+  std::vector<std::thread> workers;
+  for (unsigned w = 0; w < threads; ++w) {
+    workers.emplace_back([&, w] {
+      const std::uint64_t share =
+          kElasticLive / threads + (w < kElasticLive % threads ? 1 : 0);
+      Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ULL + w + 1);
+      sim::Name batch[kFillBatch];
+      sync.arrive_and_wait();
+      for (std::uint64_t left = share; left > 0;) {
+        const std::uint64_t k =
+            rng.below(2) == 0 ? 1 : std::min(kFillBatch, left);
+        const auto t = std::chrono::steady_clock::now();
+        if (k == 1) batch[0] = svc.acquire();
+        const std::uint64_t got =
+            k == 1 ? (batch[0] >= 0 ? 1 : 0) : svc.acquire_many(k, batch);
+        fill_ns[w].push_back(std::chrono::duration<double, std::nano>(
+                                 std::chrono::steady_clock::now() - t)
+                                 .count());
+        for (std::uint64_t i = 0; i < got; ++i) {
+          max_local[w] = std::max(max_local[w],
+                                  static_cast<std::uint64_t>(batch[i]) >>
+                                      ElasticRenamingService::kTagBits);
+        }
+        failed[w] += k - got;
+        left -= k;
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+
+  ElasticCell cell{.t0 = t0, .threads = threads};
+  std::vector<double> all_ns;
+  for (unsigned w = 0; w < threads; ++w) {
+    all_ns.insert(all_ns.end(), fill_ns[w].begin(), fill_ns[w].end());
+    cell.failed += failed[w];
+  }
+  cell.fill_p99_ns = quantile(all_ns, 0.99);
+  cell.namespace_ratio =
+      static_cast<double>(*std::max_element(max_local.begin(), max_local.end()) +
+                          1) /
+      static_cast<double>(svc.holders());
+  cell.grows = static_cast<double>(svc.grow_events());
+  return cell;
+}
+
+ElasticCell run_elastic_cell(const Config& cfg, int t0, unsigned threads,
+                             std::uint64_t seed) {
+  ElasticCell cell{.t0 = t0, .threads = threads};
+  std::vector<double> p99;
+  std::vector<double> ratio;
+  std::vector<double> grows;
+  for (int r = 0; r < cfg.reps; ++r) {
+    const ElasticCell pass =
+        run_elastic_pass(t0, threads, seed + static_cast<std::uint64_t>(r));
+    p99.push_back(pass.fill_p99_ns);
+    ratio.push_back(pass.namespace_ratio);
+    grows.push_back(pass.grows);
+    cell.failed += pass.failed;
+  }
+  cell.fill_p99_ns = quantile(p99, 0.5);
+  cell.namespace_ratio = quantile(ratio, 0.5);
+  cell.grows = quantile(grows, 0.5);
+  return cell;
+}
+
 std::string t0_label(int t0, int shipped, int paper) {
   if (t0 == 0) return std::to_string(paper) + " (paper)";
   if (t0 == shipped) return std::to_string(t0) + " (default)";
@@ -223,7 +318,8 @@ std::string t0_label(int t0, int shipped, int paper) {
 }
 
 void write_json(const char* path, const Config& cfg, int shipped, int paper,
-                const std::vector<Cell>& cells) {
+                const std::vector<Cell>& cells,
+                const std::vector<ElasticCell>& elastic) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::perror(path);
@@ -252,6 +348,18 @@ void write_json(const char* path, const Config& cfg, int shipped, int paper,
                  c.ns_per_pair, c.fill_p99_ns,
                  static_cast<unsigned long long>(c.failed),
                  i + 1 < cells.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"elastic\": [\n");
+  for (std::size_t i = 0; i < elastic.size(); ++i) {
+    const ElasticCell& c = elastic[i];
+    std::fprintf(f,
+                 "    {\"t0\": %d, \"threads\": %u, \"fill_p99_ns\": %.1f, "
+                 "\"namespace_ratio\": %.4f, \"grows\": %.1f, "
+                 "\"failed\": %llu}%s\n",
+                 c.t0 == 0 ? paper : c.t0, c.threads, c.fill_p99_ns,
+                 c.namespace_ratio, c.grows,
+                 static_cast<unsigned long long>(c.failed),
+                 i + 1 < elastic.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -299,7 +407,7 @@ int main(int argc, char** argv) {
   const std::vector<double> occupancies{0.5, 0.9, 1.0};
   const std::vector<unsigned> thread_counts{1, 4};
 
-  std::printf("# E12 — fixed-service probe budget (n = %llu, eps = %.2f, "
+  std::printf("# E12 — service probe budget (n = %llu, eps = %.2f, "
               "%llu pairs/thread, %d timing reps, %u logical cores)\n",
               static_cast<unsigned long long>(cfg.n), kEpsilon,
               static_cast<unsigned long long>(cfg.pairs), cfg.reps,
@@ -331,6 +439,36 @@ int main(int argc, char** argv) {
     print_table(std::to_string(threads) + (threads == 1 ? " thread" : " threads"),
                 header, rows);
   }
-  if (out != nullptr) write_json(out, cfg, shipped, paper, cells);
+
+  // The elastic service ships the same t0 (kServiceT0); its row checks
+  // that the short budget keeps a growing fill's names as compact as the
+  // proof constant does.
+  const int elastic_shipped = ElasticOptions{}.layout_extra.t0_override;
+  std::printf("\nElastic fill: %llu -> %llu names from %llu holders. Cell: "
+              "p99 ns per fill call; namespace ratio; grows.\n",
+              static_cast<unsigned long long>(kElasticInitial),
+              static_cast<unsigned long long>(kElasticLive),
+              static_cast<unsigned long long>(kElasticInitial));
+  std::vector<ElasticCell> elastic;
+  std::vector<std::string> header{"t0"};
+  for (const unsigned threads : thread_counts) {
+    header.push_back(std::to_string(threads) +
+                     (threads == 1 ? " thread" : " threads"));
+  }
+  std::vector<std::vector<std::string>> rows;
+  for (const int t0 : {elastic_shipped, 0}) {
+    std::vector<std::string> row{t0_label(t0, elastic_shipped, paper)};
+    for (const unsigned threads : thread_counts) {
+      const ElasticCell c = run_elastic_cell(cfg, t0, threads, seed += 0x100);
+      row.push_back(fmt(c.fill_p99_ns, 0) + " ns; " +
+                    fmt(c.namespace_ratio, 3) + "; " + fmt(c.grows, 0) +
+                    (c.failed != 0 ? " (" + fmt_u(c.failed) + " failed)"
+                                   : std::string{}));
+      elastic.push_back(c);
+    }
+    rows.push_back(row);
+  }
+  print_table("elastic", header, rows);
+  if (out != nullptr) write_json(out, cfg, shipped, paper, cells, elastic);
   return 0;
 }

@@ -89,15 +89,16 @@ struct ElasticOptions {
   /// about one shard per hardware thread.
   ArenaKind arena_kind = ArenaKind::kBitmap;
   std::uint64_t seed = 0xE1A5;
-  /// Per-shard batch geometry of every generation. Unlike
-  /// RenamingServiceOptions, this keeps the paper's proof constant for t0
-  /// (129 at eps = 0.5): auto_grow fires on full-schedule misses, and a
-  /// shorter schedule misses at lower occupancy, so a practical t0 would
-  /// grow the namespace early (a t0 = 8 prototype took burst-grow's
-  /// namespace_ratio from 1.002 to 1.242). Growth has to key on occupancy
-  /// rather than schedule length before t0 can drop here. `epsilon` is
-  /// overwritten by `epsilon` above.
-  BatchLayoutParams layout_extra{};
+  /// Per-shard batch geometry of every generation. Defaults to the same
+  /// practical probe budget as RenamingServiceOptions, t0 = kServiceT0 (8)
+  /// probes on B_0 instead of the paper's proof constant (129 at
+  /// eps = 0.5). Names stay compact at the short budget because the ring
+  /// walk probes B_0 of the home shard and its next neighbours before any
+  /// small batch (ShardGroup::try_acquire); growth is unchanged, since
+  /// auto_grow still fires only after every shard's whole schedule
+  /// missed. `{}` pins the
+  /// paper's schedule. `epsilon` is overwritten by `epsilon` above.
+  BatchLayoutParams layout_extra{.t0_override = kServiceT0};
   /// Grow automatically under sustained probe-schedule misses (and always
   /// on true exhaustion). Off = fixed capacity, explicit resize only.
   bool auto_grow = true;

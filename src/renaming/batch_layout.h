@@ -25,9 +25,14 @@ struct BatchLayoutParams {
                          // O(n) expected total steps)
   /// Overrides t_0 when positive. The paper's constant 17/eps is chosen for
   /// proof convenience; the E2/E10 ablations show far smaller values work,
-  /// and the fixed RenamingService defaults to 8 (E12).
+  /// and both services default to kServiceT0 (E12).
   int t0_override = 0;
 };
+
+/// The services' practical probe budget on B_0: the default t0_override of
+/// RenamingServiceOptions and ElasticOptions alike, picked by bench_e12's
+/// sweep (docs/protocols.md, "Service probe budget").
+inline constexpr int kServiceT0 = 8;
 
 class BatchLayout {
  public:

@@ -13,12 +13,13 @@
 // home shard, a cheap dense thread hash — so disjoint thread groups run
 // on disjoint memory, and S is chosen so one padded shard fits in L1:
 // under churn a thread's entire probe target stays cache-resident, which
-// a single (1+eps)n-cell arena can never be. When a shard runs hot (wins
-// start arriving late in the probe schedule) the thread migrates to the
-// next shard in ring order; when a schedule misses outright it steals
-// from the neighbours; and after all S schedules miss it falls back to a
-// deterministic sweep of every cell, so acquire() fails only when the
-// whole namespace is exhausted.
+// a single (1+eps)n-cell arena can never be. When the sticky shard's B_0
+// misses, the thread steals a neighbour's B_0 before any shard's small
+// batches (ShardGroup's two-pass ring walk), which keeps names compact;
+// when a shard runs hot (wins start arriving late in the probe schedule)
+// the thread migrates to the next shard in ring order; and after all S
+// schedules miss it falls back to a deterministic sweep of every cell,
+// so acquire() fails only when the whole namespace is exhausted.
 //
 // Names are interleaved across shards — name = local * S + shard — so
 // mapping a name back to its shard is a mask, not a division, and the
@@ -32,8 +33,8 @@
 //     (each shard's layout rounds its batches independently);
 //   * per-acquisition step bounds — while a shard serves at most n/S
 //     concurrent holders, an acquisition that stays on its sticky shard
-//     performs log2 log2 (n/S) + O(1) probes w.h.p.; migration/stealing
-//     adds one schedule walk per visited shard.
+//     performs log2 log2 (n/S) + O(1) probes w.h.p.; stealing adds one
+//     B_0 walk per visited shard, then one tail walk per shard.
 //
 // Hot-path engineering (measured in bench/bench_throughput.cpp):
 //   * one thread_local context per call — cached Xoshiro256, thread slot,
@@ -80,7 +81,7 @@ struct RenamingServiceOptions {
   ArenaKind arena_kind = ArenaKind::kCellProbe;
   std::uint64_t seed = 0x53ED;
   /// Per-shard batch geometry. Defaults to the practical probe budget,
-  /// t0 = 8 probes on B_0, not the paper's proof constant
+  /// t0 = kServiceT0 (8) probes on B_0, not the paper's proof constant
   /// ceil(17 ln(8e/eps) / eps) (129 at eps = 0.5), which lets a near-full
   /// shard spend up to 129 cell RMWs before it reaches the emptier small
   /// batches. The value comes from bench_e12's sweep (docs/protocols.md,
@@ -88,7 +89,7 @@ struct RenamingServiceOptions {
   /// (`layout_extra = {...}`) drops back to the proof constant unless the
   /// new value sets t0_override too; `{}` pins the paper's schedule. Its
   /// `epsilon` is always overwritten by `epsilon` above.
-  BatchLayoutParams layout_extra{.t0_override = 8};
+  BatchLayoutParams layout_extra{.t0_override = kServiceT0};
   /// Thread-local name cache: each thread keeps a bounded stash of names
   /// it released against this service, so a steady-state churn thread
   /// re-acquires its own names with zero probes, zero counter traffic and

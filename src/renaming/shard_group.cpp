@@ -81,7 +81,9 @@ ShardGroup::ShardGroup(std::uint32_t tag, std::uint64_t generation,
       shard_stride_(schedule->layout.total()),
       shard_mask_(shards - 1),
       shard_shift_(0),
-      schedule_(std::move(schedule)) {
+      schedule_(std::move(schedule)),
+      b0_end_(schedule_->schedule.begin() + schedule_->layout.probes(0)),
+      b0_pass_shards_(std::min<std::uint64_t>(shards, kB0PassShards)) {
   if (shards == 0 || (shards & (shards - 1)) != 0) {
     throw std::invalid_argument("ShardGroup: shards must be a power of two");
   }
@@ -102,10 +104,22 @@ ShardGroup::ShardGroup(std::uint32_t tag, std::uint64_t generation,
   }
 }
 
-std::int64_t ShardGroup::probe_segment(std::uint64_t si, Xoshiro256& rng,
-                                       bool* late, ProbeStats* stats) {
-  ArenaSegment& seg = segments_[si];
+ShardGroup::Visit ShardGroup::visit(std::uint64_t home,
+                                    std::uint64_t k) const {
   const FlatProbeSchedule::Slot* const first = schedule_->schedule.begin();
+  if (k < b0_pass_shards_) return {(home + k) & shard_mask_, first, b0_end_};
+  const std::uint64_t j = k - b0_pass_shards_;
+  return {(home + j) & shard_mask_, j < b0_pass_shards_ ? b0_end_ : first,
+          schedule_->schedule.end()};
+}
+
+std::int64_t ShardGroup::probe_segment(const Visit& v, Xoshiro256& rng,
+                                       bool* late, ProbeStats* stats) {
+  const std::uint64_t si = v.shard;
+  const FlatProbeSchedule::Slot* const first = schedule_->schedule.begin();
+  const FlatProbeSchedule::Slot* const from = v.from;
+  const FlatProbeSchedule::Slot* const to = v.to;
+  ArenaSegment& seg = segments_[si];
   std::uint32_t* const lost =
       stats != nullptr ? &stats->lost_races : nullptr;
   if (seg.kind() == ArenaKind::kBitmap) {
@@ -114,54 +128,51 @@ std::int64_t ShardGroup::probe_segment(std::uint64_t si, Xoshiro256& rng,
     // this shard's window). A probe fails only when its whole word is
     // full, so a word-scan schedule walk covers up to 64x the cells of a
     // cell-probe walk at the same probe budget.
-    for (const auto* slot = first; slot != schedule_->schedule.end(); ++slot) {
+    for (const auto* slot = from; slot != to; ++slot) {
       const std::uint64_t x = slot->offset + rng.below(slot->size);
       const std::int64_t cell = seg.try_claim_word(x, lost);
       if (cell >= 0) {
         *late = (slot - first) >= kMigrateThreshold;
         if (stats != nullptr) {
-          stats->probes += static_cast<std::uint32_t>(slot - first) + 1;
+          stats->probes += static_cast<std::uint32_t>(slot - from) + 1;
         }
         return static_cast<std::int64_t>(
             (static_cast<std::uint64_t>(cell) << shard_shift_) | si);
       }
     }
-    if (stats != nullptr) {
-      stats->probes +=
-          static_cast<std::uint32_t>(schedule_->schedule.end() - first);
-    }
+    if (stats != nullptr) stats->probes += static_cast<std::uint32_t>(to - from);
     return -1;
   }
-  for (const auto* slot = first; slot != schedule_->schedule.end(); ++slot) {
+  for (const auto* slot = from; slot != to; ++slot) {
     const std::uint64_t x = slot->offset + rng.below(slot->size);
     // sim:exempt(forwards to the arena RMW, which carries the sim point)
     if (seg.test_and_set(x)) {
       *late = (slot - first) >= kMigrateThreshold;
       if (stats != nullptr) {
-        stats->probes += static_cast<std::uint32_t>(slot - first) + 1;
+        stats->probes += static_cast<std::uint32_t>(slot - from) + 1;
       }
       return static_cast<std::int64_t>((x << shard_shift_) | si);
     }
   }
-  if (stats != nullptr) {
-    stats->probes +=
-        static_cast<std::uint32_t>(schedule_->schedule.end() - first);
-  }
+  if (stats != nullptr) stats->probes += static_cast<std::uint32_t>(to - from);
   return -1;
 }
 
 std::int64_t ShardGroup::try_acquire(Xoshiro256& rng, std::uint32_t* sticky,
                                      ProbeStats* stats) {
-  const std::uint64_t S = shard_mask_ + 1;
-  for (std::uint64_t k = 0; k < S; ++k) {
-    const std::uint64_t si = (*sticky + k) & shard_mask_;
+  // B_0 of the first shards from the hint, then every shard's tail: a
+  // thread whose home B_0 misses steals a neighbour's B_0 before the
+  // small batches give out a name.
+  const std::uint64_t home = *sticky & shard_mask_;
+  for (std::uint64_t k = 0; k < visits(); ++k) {
+    const Visit v = visit(home, k);
     bool late = false;
-    const std::int64_t local = probe_segment(si, rng, &late, stats);
+    const std::int64_t local = probe_segment(v, rng, &late, stats);
     if (local >= 0) {
-      if (k != 0) {
-        *sticky = static_cast<std::uint32_t>(si);
+      if (v.shard != home) {
+        *sticky = static_cast<std::uint32_t>(v.shard);
       } else if (late) {
-        *sticky = static_cast<std::uint32_t>((si + 1) & shard_mask_);
+        *sticky = static_cast<std::uint32_t>((home + 1) & shard_mask_);
       }
       return local;
     }
@@ -223,14 +234,17 @@ std::uint64_t ShardGroup::try_acquire_many(Xoshiro256& rng,
   // Phase 1 — schedule-seeded run claims: per visited shard, one probe
   // walk wins a seed cell and the remaining demand is run-claimed from
   // the seed forward, then wrapping once to the cells before it. The
+  // walk makes try_acquire's two passes, B_0s first, then tails, so seeds
+  // (and the runs that grow from them) stay low in each shard. The
   // origin is captured up front: the sticky hint moves during the walk,
   // and indexing off the live hint would revisit shards and skip others.
-  const std::uint32_t origin = *sticky;
+  const std::uint64_t origin = *sticky & shard_mask_;
   std::uint64_t walked = 0;
-  for (; walked < S && got < k; ++walked) {
-    const std::uint64_t si = (origin + walked) & shard_mask_;
+  for (; walked < visits() && got < k; ++walked) {
+    const Visit v = visit(origin, walked);
+    const std::uint64_t si = v.shard;
     bool late = false;
-    const std::int64_t seed = probe_segment(si, rng, &late, stats);
+    const std::int64_t seed = probe_segment(v, rng, &late, stats);
     if (seed < 0) continue;
     out[got++] = seed;
     const std::uint64_t x = static_cast<std::uint64_t>(seed) >> shard_shift_;
@@ -238,7 +252,7 @@ std::uint64_t ShardGroup::try_acquire_many(Xoshiro256& rng,
       got += claim_encoded(si, x + 1, shard_stride_, k - got, out + got, lost);
     }
     if (got < k) got += claim_encoded(si, 0, x, k - got, out + got, lost);
-    if (walked != 0) {
+    if (si != origin) {
       *sticky = static_cast<std::uint32_t>(si);
     } else if (late) {
       *sticky = static_cast<std::uint32_t>((si + 1) & shard_mask_);

@@ -11,13 +11,15 @@
 // generation with one deallocation, and a group's whole footprint
 // appears/disappears atomically from the service's accounting.
 //
-// The probing discipline: sticky shard, ring migration on late wins, ring
-// stealing on schedule misses, deterministic sweep as the exhaustion
-// backstop. Names are group-local here — (cell << shard_shift) | shard,
-// so mapping a name back to its shard is a mask, not a division. The
-// fixed service issues them as they are; the elastic service adds its
-// group tag (elastic_service.h), which is also where uniqueness across
-// generations is argued.
+// The probing discipline: a sticky shard and a two-pass ring walk from it
+// — B_0 of the home shard and its next neighbours first, then every
+// shard's small batches — so a thread whose home B_0 misses steals a
+// neighbour's B_0 before it hands out a name above B_0; migration on late
+// wins; a deterministic sweep as the exhaustion backstop. Names are group-local here —
+// (cell << shard_shift) | shard, so mapping a name back to its shard is a
+// mask, not a division. The fixed service issues them as they are; the
+// elastic service adds its group tag (elastic_service.h), which is also
+// where uniqueness across generations is argued.
 //
 // The striped live counter is the elastic service's drain detector:
 // acquisitions increment it inside an epoch pin, so once the service has
@@ -97,8 +99,10 @@ class ShardGroup {
   /// Optional per-call observability (telemetry detailed mode): probe
   /// counts, observable lost races (load-before-RMW paths only — a lost
   /// single-RMW test_and_set is indistinguishable from "already taken"),
-  /// and how far the batched ring walk / backstop sweep went. All fields
-  /// accumulate, so one struct can span a multi-round acquisition.
+  /// and how far the batched ring walk / backstop sweep went. The ring
+  /// walk counts visits(), up to S + kB0PassShards: one per shard in the
+  /// B_0 pass and one per shard in the tail pass. All fields accumulate,
+  /// so one struct can span a multi-round acquisition.
   struct ProbeStats {
     std::uint32_t probes = 0;
     std::uint32_t lost_races = 0;
@@ -106,12 +110,16 @@ class ShardGroup {
     std::uint32_t sweep_shards = 0;
   };
 
-  /// Walk the shard ring starting at *sticky (updated in place: migrate on
-  /// late wins, move to the winning shard when stealing). Returns the
-  /// group-local name, or -1 when every shard's schedule missed. The
-  /// sticky hint is what keeps a loaded home shard from becoming a tax:
-  /// without it, a thread whose home shard has filled walks that shard's
-  /// whole schedule and fails it on every acquisition before stealing.
+  /// Walk the shard ring starting at *sticky in two passes: B_0 of the
+  /// first kB0PassShards shards, then the rest of every shard's schedule
+  /// (see visit()). *sticky is updated in place: it moves to the winning
+  /// shard when stealing, and to the next shard on a late win at home.
+  /// Returns the group-local name, or -1 when every shard's whole
+  /// schedule missed. B_0 first keeps names compact: a tail name is
+  /// handed out only when the first pass's B_0 probes all missed. The sticky hint is what keeps a loaded home shard
+  /// from becoming a tax: without it, a thread whose home shard has
+  /// filled walks that shard's B_0 and fails it on every acquisition
+  /// before stealing.
   std::int64_t try_acquire(Xoshiro256& rng, std::uint32_t* sticky,
                            ProbeStats* stats = nullptr);
 
@@ -131,14 +139,16 @@ class ShardGroup {
   /// cell per visited shard; the rest of that shard's demand is taken by
   /// a linear run-claim around the seed (one cache line at a time — see
   /// TasArena::try_claim_run — or one fetch_or per word on a bitmap).
-  /// Walks the shard ring from *sticky like try_acquire, then falls back
-  /// to the deterministic sweep, so a shortfall (return < k) means the
-  /// group had fewer than k free cells when scanned — the per-batch
-  /// exhaustion signal the elastic service's grow-on-shortfall policy
-  /// consumes. `sweep_budget` bounds the backstop sweep (0 = unbounded);
-  /// a budget-truncated shortfall sets *sweep_budget_hit so the caller
-  /// can keep it out of the pressure signals (an elastic service that
-  /// grew on a truncated scan would reintroduce the spurious-grow bug).
+  /// Walks the shard ring from *sticky like try_acquire (B_0s first, so
+  /// seeds and the runs grown from them stay low), then
+  /// falls back to the deterministic sweep, so a shortfall (return < k)
+  /// means the group had fewer than k free cells when scanned — the
+  /// per-batch exhaustion signal the elastic service's grow-on-shortfall
+  /// policy consumes. `sweep_budget` bounds the backstop sweep
+  /// (0 = unbounded); a budget-truncated shortfall sets *sweep_budget_hit
+  /// so the caller can keep it out of the pressure signals (an elastic
+  /// service that grew on a truncated scan would reintroduce the
+  /// spurious-grow bug).
   std::uint64_t try_acquire_many(Xoshiro256& rng, std::uint32_t* sticky,
                                  std::uint64_t k, std::int64_t* out,
                                  std::uint64_t sweep_budget = 0,
@@ -220,20 +230,52 @@ class ShardGroup {
   }
 
  private:
-  /// Wins arriving at or past this probe position mean the shard is
+  /// A home-shard win at or past this probe position means the shard is
   /// running hot (expected position under the analysis' load is O(1)),
   /// and the caller's sticky hint migrates to the next shard. The
-  /// position is absolute, so what "late" means depends on t0: at the
-  /// fixed service's default t0 = 8, B_0 is positions 0..7 and a late win
-  /// is one that missed B_0 entirely and landed in a small batch; under
-  /// the paper's t0 (129 at eps = 0.5, the elastic default), it is a win
-  /// after 8 or more B_0 misses, still inside B_0.
+  /// position is absolute in the shard's schedule, so what "late" means
+  /// depends on t0. At the services' default t0 = kServiceT0 (8), B_0 is
+  /// positions 0..7: a B_0-pass win is never late, and only a tail-pass
+  /// win at home (every first-pass B_0 missed) moves the hint. At a larger
+  /// t0 (16, 32, the paper's 129), a B_0-pass win after 8 or more home
+  /// misses moves the hint before the walk needs a neighbour's B_0
+  /// (without the rule, bench_e12's churn took 1.5-2.7x the probes at
+  /// t0 = 32 and 129; docs/protocols.md, "Service probe budget").
   static constexpr std::ptrdiff_t kMigrateThreshold = 8;
 
-  /// Walk shard `si`'s flattened probe schedule. Returns the group-local
-  /// name, or -1 on a full miss; sets *late when the win arrived at or
-  /// past kMigrateThreshold.
-  std::int64_t probe_segment(std::uint64_t si, Xoshiro256& rng, bool* late,
+  /// Shards whose B_0 the ring walk's first pass probes, home included.
+  /// Bounding the pass bounds what a B_0-first walk costs under churn at
+  /// full design load: misses in the first pass are what send names to
+  /// the tails, so B_0 refills until its free fraction q solves
+  /// q = (1 - q)^(t0 * passes), and each acquisition walks about 1/q
+  /// probes. With all 64 shards of a 16384-holder fixed service in the
+  /// pass, bench_e12 read 85-98 probes per churn acquisition at
+  /// live / n 1.0 (4.5-4.8 with one shard); four shards keep a growing
+  /// elastic fill as compact as the proof constant does
+  /// (docs/protocols.md, "Service probe budget").
+  static constexpr std::uint64_t kB0PassShards = 4;
+
+  /// One step of the ring walk: a shard and the slot range of its
+  /// flattened schedule to probe.
+  struct Visit {
+    std::uint64_t shard;
+    const FlatProbeSchedule::Slot* from;
+    const FlatProbeSchedule::Slot* to;
+  };
+  /// Step k of the walk from shard `home`: steps k < b0_pass_shards_
+  /// probe B_0 of the next shards in ring order; the S steps after them
+  /// probe every shard's tail batches B_1..B_kappa, or its whole schedule
+  /// if the first pass skipped it. So a full walk that misses has
+  /// probed every shard's whole schedule.
+  [[nodiscard]] Visit visit(std::uint64_t home, std::uint64_t k) const;
+  [[nodiscard]] std::uint64_t visits() const {
+    return b0_pass_shards_ + shard_mask_ + 1;
+  }
+
+  /// Probe one visit's slots. Returns the group-local name, or -1 when
+  /// every probe missed; sets *late when the win arrived at or past
+  /// kMigrateThreshold.
+  std::int64_t probe_segment(const Visit& v, Xoshiro256& rng, bool* late,
                              ProbeStats* stats = nullptr);
 
   /// Run-claim over shard `si`'s window [from, to), encoding wins as
@@ -250,6 +292,10 @@ class ShardGroup {
   std::uint64_t shard_mask_;    // shards - 1 (power of two)
   std::uint32_t shard_shift_;   // log2(shards)
   std::shared_ptr<const CachedSchedule> schedule_;
+  /// End of the B_0 slots in schedule_: the split between the ring walk's
+  /// two passes.
+  const FlatProbeSchedule::Slot* b0_end_;
+  std::uint64_t b0_pass_shards_;  // min(S, kB0PassShards)
   /// Exactly one substrate is engaged (by arena_kind at construction);
   /// either way one allocation of shards * stride cells that the
   /// segments window into.
