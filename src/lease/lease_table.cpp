@@ -174,12 +174,20 @@ bool LeaseTable::rebind(sim::Name name, std::uint64_t now_ticks,
 }
 
 bool LeaseTable::validate(sim::Name name, const Heartbeat* hb) {
-  const Cell* c = cells_.find(index_of(name));
-  if (c != nullptr) {
-    const std::uint64_t w = c->owner.load(std::memory_order_acquire);
-    if ((w & kLive) != 0 && (w & kHolderMask) == holder_bits(hb)) return true;
+  Cell* c = cells_.find(index_of(name));
+  if (c == nullptr) return trip(hb);
+  // A CAS, not a load: the version bump makes a reaper that read this
+  // word before it (and is about to expire the lease) fail its CAS, so
+  // a revalidated name can no longer be reclaimed under its holder.
+  std::uint64_t w = c->owner.load(std::memory_order_acquire);
+  const auto mine = [&] {
+    return (w & kLive) != 0 && (w & kHolderMask) == holder_bits(hb);
+  };
+  while (mine() && !c->owner.compare_exchange_weak(
+                       w, next_word(w, kLive, w & kHolderMask),
+                       std::memory_order_acq_rel, std::memory_order_acquire)) {
   }
-  return trip(hb);
+  return mine() || trip(hb);
 }
 
 std::size_t LeaseTable::scan(std::uint64_t now_ticks,

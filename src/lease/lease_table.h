@@ -186,7 +186,9 @@ class LeaseTable {
   /// True iff a lease on `name` exists and is held by `hb` — the stash
   /// revalidation probe a thread runs after noticing its own heartbeat
   /// went stale (its stashed names may have been reaped and reissued).
-  /// A mismatch is counted as a guard trip.
+  /// One owner-word CAS that bumps the version, so a reaper that read the
+  /// word first fails its expiry CAS: exactly one of the two wins. A
+  /// mismatch is counted as a guard trip.
   [[nodiscard]] bool validate(sim::Name name, const Heartbeat* hb);
 
   /// Whether the op-path poll would scan now: one relaxed load, so the

@@ -592,5 +592,124 @@ TEST(ScenarioLease, SameAbsorbScheduleWithGuardOffDoubleGrants) {
       << trace;
 }
 
+// ------------------- pinned schedule: stash revalidation vs expiry ------
+//
+// The quiet holder's side of the stash. Worker 0 parks a name in its
+// stash and goes quiet. Worker 1 ages the lease out and reaps; the
+// reaper decides to expire the stashed name and is stalled at the
+// lease.expire sim point, before its owner-word CAS. Worker 0 then wakes
+// and acquires: its stash revalidation and the reaper's expiry race for
+// the same owner word, and exactly one may win. Were the revalidation a
+// plain load, both would: worker 0 pops the name, the reaper's CAS
+// still lands and frees the cell, and worker 1's next acquire grants
+// the name a second time.
+//
+// Returns true iff the schedule produced a double-grant.
+bool run_pinned_revalidate_vs_expiry(std::string* trace_out) {
+  g_now.store(1, std::memory_order_relaxed);
+  RenamingServiceOptions opts;
+  opts.shards = 1;  // one shard: local index == name, no interleaving
+  opts.name_cache = true;
+  opts.lease.ttl_ticks = 50;
+  opts.lease.grace = 10;
+  opts.lease.clock = &fake_now;
+  RenamingService svc(4, opts);
+  Checks checks;
+
+  std::atomic<Name> victim_name{-1};
+  std::atomic<Name> victim_got{-1};
+  std::atomic<bool> victim_woke{false};
+  std::atomic<bool> probed{false};
+  std::atomic<bool> double_grant{false};
+
+  Scenario scn;
+  scn.seed = 0xABCu;
+  scn.preempt_every = 1;
+  // Freeze worker 1's reap just before its expiry CAS, long enough for
+  // worker 0 to wake and run a whole acquire.
+  scn.stalls.push_back(StallRule{"lease.expire", 1, 0, 4000, 1});
+
+  ScenarioEngine eng(scn);
+  const bool done = eng.run(
+      {// Worker 0: the quiet holder. Parks one name in its stash, stays
+       // quiet until the reaper is frozen mid-expiry, then acquires.
+       [&](Worker& w) {
+         w.yield("victim.acquire");
+         const Name n = svc.acquire();
+         if (n < 0) {
+           checks.fail("victim acquire failed");
+           return;
+         }
+         w.yield("victim.release");
+         if (!svc.release(n) || svc.thread_cache_size() != 1) {
+           checks.fail("victim's release was not absorbed by its stash");
+           return;
+         }
+         victim_name.store(n, std::memory_order_release);
+         while (eng.stalls_fired() == 0) w.yield("victim.quiet");
+         w.yield("victim.wake");
+         victim_got.store(svc.acquire(), std::memory_order_release);
+         victim_woke.store(true, std::memory_order_release);
+         while (!probed.load(std::memory_order_acquire)) {
+           w.yield("victim.hold");
+         }
+         const Name got = victim_got.load(std::memory_order_acquire);
+         if (got >= 0) svc.release(got);
+         svc.flush_thread_cache();
+       },
+       // Worker 1: owns the rest of the namespace, ages the victim's
+       // lease out, and probes for the double-grant after the reap.
+       [&](Worker& w) {
+         Name rest[3];
+         w.yield("driver.prefill");
+         if (svc.acquire_many(3, rest) != 3) {
+           checks.fail("driver prefill failed");
+           return;
+         }
+         while (victim_name.load(std::memory_order_acquire) < 0) {
+           w.yield("driver.wait_quiet");
+         }
+         w.yield("driver.age");
+         g_now.fetch_add(50 + 10 + 1, std::memory_order_relaxed);
+         // The driver's own leases stay fresh: renew_lease heartbeats it.
+         if (svc.renew_lease(rest[0]) != rest[0]) {
+           checks.fail("driver's own renew failed");
+           return;
+         }
+         svc.reap_expired();  // stalls at lease.expire on the victim's name
+         while (!victim_woke.load(std::memory_order_acquire)) {
+           w.yield("driver.wait_wake");
+         }
+         // The probe: if the reaper freed the cell the victim just popped,
+         // this acquire grants the victim's name a second time.
+         w.yield("driver.probe");
+         const Name probe = svc.acquire();
+         if (probe >= 0 && probe == victim_got.load(std::memory_order_acquire)) {
+           double_grant.store(true);
+         }
+         probed.store(true, std::memory_order_release);
+         if (probe >= 0) svc.release(probe);
+         svc.release_many(rest, 3);
+         svc.flush_thread_cache();
+       }});
+  eng.finish();
+
+  EXPECT_TRUE(done) << "livelock guard tripped\n" << eng.trace();
+  EXPECT_GE(eng.stalls_fired(), 1u) << "the expiry stall never fired";
+  EXPECT_TRUE(checks.ok()) << checks.summary() << eng.trace();
+  // The victim's revalidation reached the owner word first, so the name
+  // stays the victim's and the reaper's CAS is the one that fails.
+  EXPECT_EQ(victim_got.load(), victim_name.load()) << eng.trace();
+  if (trace_out != nullptr) *trace_out = eng.trace();
+  return double_grant.load();
+}
+
+TEST(ScenarioLease, PinnedRevalidateVsExpiryNeverDoubleGrants) {
+  std::string trace;
+  EXPECT_FALSE(run_pinned_revalidate_vs_expiry(&trace))
+      << "a revalidated stash name was also reaped and reissued\n"
+      << trace;
+}
+
 }  // namespace
 }  // namespace loren
