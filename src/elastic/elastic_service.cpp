@@ -352,25 +352,23 @@ void ElasticRenamingService::lease_heartbeat(
     lease::Heartbeat*& hb, NameStash* st, EpochDomain::Slot& slot,
     telemetry::MetricsRegistry::ThreadStripe& stripe) {
   if (hb == nullptr) hb = &leases_->register_thread();
-  const std::uint64_t now = leases_->now();
-  // mo:relaxed-ok(single-writer heartbeat stamp; the reaper's max() with
-  // the lease deadline makes a stale read expiry-delaying, never
-  // expiry-causing — see lease/lease_table.h)
-  const std::uint64_t prev = hb->last.load(std::memory_order_relaxed);
-  // mo:relaxed-ok(same single-writer stamp contract)
-  hb->last.store(now, std::memory_order_relaxed);
-  if (prev != 0 && now - prev >= leases_->ttl() && st != nullptr &&
-      !st->empty()) {
-    // This thread went quiet for a full ttl: its stashed names may have
-    // been reaped (and their cells reclaimed into their groups), so each
-    // one must revalidate before it can be re-issued. Dropped entries
-    // were already reclaimed — dropping is the only safe move.
+  const lease::Heartbeat::Beat beat = hb->beat();
+  if (beat.doomed && st != nullptr && !st->empty()) {
+    // The reaper found this thread quiet for ttl + grace: its stashed
+    // names may have been reaped (and their cells reclaimed into their
+    // groups), so each one must revalidate (an owner-word CAS) before it
+    // can be re-issued. Dropped entries were already reclaimed —
+    // dropping is the only safe move.
     Name buf[NameStash::kMaxCapacity];
     const std::uint32_t n = st->take_oldest(buf, st->size());
     for (std::uint32_t i = 0; i < n; ++i) {
       if (leases_->validate(buf[i], hb)) st->push(buf[i]);
     }
   }
+  // The op-path scan gate: the only clock read on a holder's path, on
+  // one call in kScanSampleEvery.
+  if (beat.count % lease::kScanSampleEvery != 0) return;
+  const std::uint64_t now = leases_->now();
   if (leases_->scan_due(now)) {
     std::size_t reclaimed;
     {
@@ -396,8 +394,9 @@ Name ElasticRenamingService::renew_lease(Name name) {
   }
   lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
                   *per.slot, *per.stripe);
-  return leases_->renew(name, per.hb->stamp(), per.hb, per.stripe) ? name
-                                                          : kLeaseExpired;
+  return leases_->renew(name, leases_->now(), per.hb, per.stripe)
+             ? name
+             : kLeaseExpired;
 }
 
 std::size_t ElasticRenamingService::reap_expired() {
@@ -408,7 +407,7 @@ std::size_t ElasticRenamingService::reap_expired() {
     per.slot = &domain_.register_thread();
     per.stripe = &ins_.registry->stripe();
   }
-  // Deliberately NO heartbeat stamp here: reap_expired is a maintenance
+  // Deliberately NO heartbeat beat here: reap_expired is a maintenance
   // op (a dedicated reaper holds nothing; the post-crash drain must be
   // able to expire the *caller's own* abandoned names). Holders keep
   // their leases alive through regular ops or renew_lease().
@@ -507,7 +506,7 @@ Name ElasticRenamingService::acquire() {
         }
         const Name n = encode_name(*g, local, options_.debug_release_guard);
         if (leases_ != nullptr) {
-          leases_->open(n, per.hb->stamp(), per.hb, per.stripe);
+          leases_->open(n, 0, per.hb, per.stripe);
         }
         return finish(n);
       }
@@ -546,7 +545,7 @@ Name ElasticRenamingService::acquire() {
         per.stripe->add(ins_.sweeps, stats.sweep_shards - swept_before);
         const Name n = encode_name(*g, swept, options_.debug_release_guard);
         if (leases_ != nullptr) {
-          leases_->open(n, per.hb->stamp(), per.hb, per.stripe);
+          leases_->open(n, 0, per.hb, per.stripe);
         }
         return finish(n);
       }
@@ -627,7 +626,7 @@ bool ElasticRenamingService::release(Name name) {
       // already expired the lease and reclaimed the cell — absorbing now
       // would hand a recycled cell back as a stash hit.
       if (leases_ != nullptr &&
-          !leases_->rebind(name, per.hb->stamp(), per.hb) &&
+          !leases_->rebind(name, per.hb) &&
           leases_->release_guard()) {
         return finish(false);
       }
@@ -747,14 +746,14 @@ std::uint64_t ElasticRenamingService::acquire_many(std::uint64_t k,
                                   &stats);
       if (round > 0) {
         // One live-counter add and one tag/stamp encode pass per
-        // sub-batch — the whole point of batching. Every lease opens at
-        // the call's heartbeat stamp: one clock read per call.
+        // sub-batch — the whole point of batching. Every lease opens on
+        // the call's heartbeat, with no clock read.
         g->note_acquired_n(static_cast<std::int64_t>(round));
         for (std::uint64_t i = 0; i < round; ++i) {
           out[got + i] = encode_name(*g, out[got + i],
                                      options_.debug_release_guard);
           if (leases_ != nullptr) {
-            leases_->open(out[got + i], per.hb->stamp(), per.hb, per.stripe);
+            leases_->open(out[got + i], 0, per.hb, per.stripe);
           }
         }
         got += round;
@@ -885,7 +884,7 @@ std::uint64_t ElasticRenamingService::release_many(const Name* names,
           }
           // Stash absorb: same rebind-or-reject rule as release().
           if (leases_ != nullptr &&
-              !leases_->rebind(name, per.hb->stamp(), per.hb) &&
+              !leases_->rebind(name, per.hb) &&
               leases_->release_guard()) {
             continue;
           }

@@ -275,18 +275,21 @@ class ElasticRenamingService {
   /// names' generations against draining for the service's lifetime.
   std::uint64_t flush_thread_cache();
 
-  /// Explicitly renews the calling thread's lease on `name` (every op
-  /// already renews implicitly via the heartbeat — this is for holders
-  /// going quiet between ops). Returns `name`, or kLeaseExpired when the
-  /// lease is gone: the reaper reclaimed the cell and the caller must
-  /// treat the name as lost. Trivially `name` with leasing off.
+  /// Explicitly renews the calling thread's lease on `name`, pushing its
+  /// deadline to now + ttl (every op already renews implicitly via the
+  /// heartbeat — this is for holders going quiet between ops). Returns
+  /// `name`, or kLeaseExpired when the lease is gone: the reaper
+  /// reclaimed the cell and the caller must treat the name as lost.
+  /// Trivially `name` with leasing off.
   sim::Name renew_lease(sim::Name name);
 
   /// One full blocking reap pass: expires every stale lease and hands
   /// the cells back to their generations' groups (which lets retired
-  /// generations finish draining). Returns cells reclaimed. The op paths
-  /// poll try_reap() on a sampled cadence already; this is the
-  /// deterministic variant for tests and shutdown drains. 0 when off.
+  /// generations finish draining). Returns cells reclaimed. After an idle
+  /// period the first call only observes the holders' heartbeat counts;
+  /// a second call ttl + grace later expires (see lease/lease_table.h).
+  /// The op paths poll try_reap() on a sampled cadence already; this is
+  /// the deterministic variant for tests and shutdown drains. 0 when off.
   std::size_t reap_expired();
 
   /// Lease observability (all 0 / false with leasing off).
@@ -408,12 +411,11 @@ class ElasticRenamingService {
                                telemetry::MetricsRegistry::ThreadStripe* stripe,
                                const lease::Heartbeat* hb);
 
-  /// Per-op lease prologue (leasing on only): registers/stamps the
-  /// calling thread's heartbeat, revalidates the stash after a
-  /// self-detected stale gap, and, once per scan period, runs the
-  /// try_reap poll under an epoch pin (the reclaim callback dereferences
-  /// the tag table). This is the call's one clock read: later lease ops
-  /// in the call take their tick from hb->stamp().
+  /// Per-op lease prologue (leasing on only): registers/beats the
+  /// calling thread's heartbeat, revalidates the stash when the reaper
+  /// doomed it, and, on one call in lease::kScanSampleEvery, reads the
+  /// clock for the try_reap poll, run under an epoch pin (the reclaim
+  /// callback dereferences the tag table).
   void lease_heartbeat(lease::Heartbeat*& hb, NameStash* st,
                        EpochDomain::Slot& slot,
                        telemetry::MetricsRegistry::ThreadStripe& stripe);

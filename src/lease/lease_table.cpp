@@ -1,6 +1,7 @@
 #include "lease/lease_table.h"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 
 namespace loren::lease {
@@ -35,6 +36,23 @@ std::uint64_t next_word(std::uint64_t w, std::uint64_t live,
 bool owned_by(std::uint64_t w, const Heartbeat* hb) {
   const std::uint64_t h = w & kHolderMask;
   return (w & kLive) != 0 && (h == 0 || h == holder_bits(hb));
+}
+
+/// The CAS loop that ends rebind, renew and validate: moves the owner
+/// word to its next version with holder `to(w)`, retrying while the
+/// word stays `mine(w)`. The sim point sits between the load and the
+/// CAS, where a reaper may slip in. False once the word is not mine.
+template <class Mine, class To>
+bool advance(std::atomic<std::uint64_t>& owner, [[maybe_unused]] const char* tag,
+             Mine mine, To to) {
+  std::uint64_t w = owner.load(std::memory_order_acquire);
+  LOREN_SIM_POINT(tag);
+  while (mine(w) &&
+         !owner.compare_exchange_weak(w, next_word(w, kLive, to(w)),
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+  }
+  return mine(w);
 }
 
 /// Single-writer increment (the RegisteredCounter idiom), never an RMW.
@@ -125,91 +143,91 @@ bool LeaseTable::close(sim::Name name, const Heartbeat* hb,
   return ok;
 }
 
-bool LeaseTable::refresh(sim::Name name, std::uint64_t now_ticks,
-                         const Heartbeat* hb, bool rebind) {
-  Cell* c = cells_.find(index_of(name));
-  if (c == nullptr) return trip(hb);
-  std::uint64_t w = c->owner.load(std::memory_order_acquire);
-  if (!owned_by(w, hb)) return trip(hb);
-  // Monotone push: if the lease was reaped and reissued since w was
-  // read, this can only extend the new holder's deadline, never cut it.
-  // A self-rebind stamped at now_ticks is covered and skips it: the
-  // reaper's max(deadline, beat + ttl) already reaches due, and the
-  // acq_rel CAS below orders the stamp before the new owner word, so a
-  // reaper that acquires that word reads beat >= now_ticks (one that
-  // read the old word fails its CAS). renew, holderless adoption and
-  // foreign rebinds still push.
-  const std::uint64_t due = now_ticks + ttl_;
-  const bool covered = rebind && hb != nullptr &&
-                       (w & kHolderMask) == holder_bits(hb) &&
-                       hb->stamp() >= now_ticks;
-  std::uint64_t d =
-      covered ? due : c->deadline.load(std::memory_order_relaxed);
-  LOREN_SIM_POINT(rebind ? "lease.rebind" : "lease.renew");
-  while (d < due && !c->deadline.compare_exchange_weak(
-                        d, due, std::memory_order_relaxed)) {
-  }
-  // The version bump makes a reaper that read the old deadline fail its
-  // expiry CAS; a failed CAS reloads w: the reaper (or another renewer of
-  // a holderless lease) moved first — re-check ownership and retry.
-  while (owned_by(w, hb) &&
-         !c->owner.compare_exchange_weak(
-             w, next_word(w, kLive, rebind ? holder_bits(hb) : w & kHolderMask),
-             std::memory_order_acq_rel, std::memory_order_acquire)) {
-  }
-  return owned_by(w, hb) || trip(hb);
-}
-
 bool LeaseTable::renew(sim::Name name, std::uint64_t now_ticks,
                        const Heartbeat* hb,
                        telemetry::MetricsRegistry::ThreadStripe* stripe) {
-  const bool ok = refresh(name, now_ticks, hb, /*rebind=*/false);
+  Cell* c = cells_.find(index_of(name));
+  bool ok = false;
+  if (c != nullptr &&
+      owned_by(c->owner.load(std::memory_order_acquire), hb)) {
+    // Monotone push: if the lease was reaped and reissued since the load
+    // above, this can only extend the new holder's deadline, never cut
+    // it. The CAS below then bumps the version, so a reaper that read
+    // the old deadline fails its expiry CAS.
+    const std::uint64_t due = now_ticks + ttl_;
+    std::uint64_t d = c->deadline.load(std::memory_order_relaxed);
+    // sim:exempt(a monotone max; the owner-word CAS after it is the step the reaper races)
+    while (d < due && !c->deadline.compare_exchange_weak(
+                          d, due, std::memory_order_relaxed)) {
+    }
+    ok = advance(c->owner, "lease.renew",
+                 [&](std::uint64_t w) { return owned_by(w, hb); },
+                 [](std::uint64_t w) { return w & kHolderMask; });
+  }
+  if (!ok) trip(hb);
   if (stripe != nullptr) stripe->add(ok ? ctr_renewals_ : ctr_guard_trips_);
   return ok;
 }
 
-bool LeaseTable::rebind(sim::Name name, std::uint64_t now_ticks,
-                        const Heartbeat* hb) {
-  return refresh(name, now_ticks, hb, /*rebind=*/true);
+bool LeaseTable::rebind(sim::Name name, const Heartbeat* hb) {
+  Cell* c = cells_.find(index_of(name));
+  return (c != nullptr &&
+          advance(c->owner, "lease.rebind",
+                  [&](std::uint64_t w) { return owned_by(w, hb); },
+                  [&](std::uint64_t) { return holder_bits(hb); })) ||
+         trip(hb);
 }
 
 bool LeaseTable::validate(sim::Name name, const Heartbeat* hb) {
-  Cell* c = cells_.find(index_of(name));
-  if (c == nullptr) return trip(hb);
   // A CAS, not a load: the version bump makes a reaper that read this
   // word before it (and is about to expire the lease) fail its CAS, so
   // a revalidated name can no longer be reclaimed under its holder.
-  std::uint64_t w = c->owner.load(std::memory_order_acquire);
-  const auto mine = [&] {
-    return (w & kLive) != 0 && (w & kHolderMask) == holder_bits(hb);
-  };
-  while (mine() && !c->owner.compare_exchange_weak(
-                       w, next_word(w, kLive, w & kHolderMask),
-                       std::memory_order_acq_rel, std::memory_order_acquire)) {
-  }
-  return mine() || trip(hb);
+  Cell* c = cells_.find(index_of(name));
+  const std::uint64_t mine = holder_bits(hb);
+  return (c != nullptr &&
+          advance(c->owner, "lease.validate",
+                  [&](std::uint64_t w) {
+                    return (w & kLive) != 0 && (w & kHolderMask) == mine;
+                  },
+                  [&](std::uint64_t) { return mine; })) ||
+         trip(hb);
 }
 
 std::size_t LeaseTable::scan(std::uint64_t now_ticks,
                              telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  const std::uint64_t stale = ttl_ + grace_;
   std::size_t reclaimed = 0;
   cells_.for_each([&](std::uint64_t index, Cell& c) {
     std::uint64_t w = c.owner.load(std::memory_order_acquire);
     if ((w & kLive) == 0) return;
-    std::uint64_t hb_deadline = 0;
+    std::uint64_t due =
+        c.deadline.load(std::memory_order_relaxed) + grace_;
+    Heartbeat* hb = nullptr;
+    std::uint64_t count = 0;
     if (const std::uint64_t h = (w & kHolderMask) >> kHolderShift; h != 0) {
-      const Heartbeat* hb = heartbeats_.find(h - 1);
-      // mo:relaxed-ok(single-writer heartbeat stamp; a stale read only
-      // delays expiry, the max() below can't go early)
-      const std::uint64_t beat = hb->last.load(std::memory_order_relaxed);
-      if (beat != 0) hb_deadline = beat + ttl_;
+      hb = heartbeats_.find(h - 1);
+      count = hb->beats.load(std::memory_order_seq_cst);
+      if (count != hb->seen) {
+        // The holder ran since the last look (or this is the first):
+        // restart its still period. The clock is read after the count,
+        // so the record never predates an op it reflects.
+        hb->seen = count;
+        hb->still_since = clock_();
+        return;
+      }
+      due = std::max(due, hb->still_since + stale);
     }
-    const std::uint64_t eff =
-        std::max(c.deadline.load(std::memory_order_relaxed), hb_deadline) +
-        grace_;
-    if (eff > now_ticks) return;
+    if (due > now_ticks) return;
+    if (hb != nullptr) {
+      // The handshake (see the file comment): doom, then re-load. A
+      // holder that bumped before the doom shows here; one that bumps
+      // after it sees the doom and revalidates its stash by CAS.
+      LOREN_SIM_POINT("lease.doom");
+      hb->doomed.store(1, std::memory_order_seq_cst);
+      if (hb->beats.load(std::memory_order_seq_cst) != count) return;
+    }
     LOREN_SIM_POINT("lease.expire");
-    // Fails iff a holder op (close, renew, rebind) moved first.
+    // Fails iff a holder op (close, renew, rebind, validate) moved first.
     if (!c.owner.compare_exchange_strong(w, next_word(w, 0, 0),
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
@@ -218,7 +236,7 @@ std::size_t LeaseTable::scan(std::uint64_t now_ticks,
     expired_.fetch_add(1, std::memory_order_relaxed);
     if (stripe != nullptr) {
       stripe->add(ctr_expired_);
-      stripe->record(hist_reap_late_, now_ticks - eff);
+      stripe->record(hist_reap_late_, now_ticks - due);
     }
     if (reclaim_ != nullptr &&
         reclaim_(reclaim_ctx_, static_cast<sim::Name>(index))) {
@@ -231,20 +249,19 @@ std::size_t LeaseTable::scan(std::uint64_t now_ticks,
 std::size_t LeaseTable::reap(std::uint64_t now_ticks,
                              telemetry::MetricsRegistry::ThreadStripe* stripe) {
   LOREN_SIM_POINT("lease.reap");
+  const std::lock_guard<SimMutex> lock(scan_mu_);
   return scan(now_ticks, stripe);
 }
 
 std::size_t LeaseTable::try_reap(std::uint64_t now_ticks,
                                  telemetry::MetricsRegistry::ThreadStripe* stripe) {
-  std::uint64_t due = next_scan_.load(std::memory_order_relaxed);
-  if (now_ticks < due) return 0;
+  if (!scan_due(now_ticks)) return 0;
   LOREN_SIM_POINT("lease.reap");
-  // One claimant per period: the loser's scan would find what the
-  // winner's finds.
-  if (!next_scan_.compare_exchange_strong(due, now_ticks + scan_period_,
-                                          std::memory_order_relaxed)) {
-    return 0;
-  }
+  // One claimant per period, and never a wait: the scan running now
+  // finds what this one would.
+  const std::unique_lock<SimMutex> lock(scan_mu_, std::try_to_lock);
+  if (!lock.owns_lock() || !scan_due(now_ticks)) return 0;
+  next_scan_.store(now_ticks + scan_period_, std::memory_order_relaxed);
   return scan(now_ticks, stripe);
 }
 

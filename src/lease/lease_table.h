@@ -2,14 +2,38 @@
 //
 // Every name a service hands out under leasing is registered here as a
 // lease: (name, holder heartbeat, deadline). A holder that keeps
-// operating keeps its leases alive for free — each service op stamps the
-// thread's heartbeat cell, and the reaper treats a lease as fresh while
-//   max(lease deadline, heartbeat + ttl) + grace > now.
-// A holder that crashes, parks, or exits stops stamping; once its leases
-// go stale the reaper expires them and hands the names back to the arena
+// operating keeps its leases alive for free: each service call bumps
+// the thread's heartbeat count, and the reaper expires a lease only
+// after its holder's count stood still for ttl + grace ticks of reaper
+// time. A holder that crashes, parks, or exits stops counting; the
+// reaper then expires its leases and hands the names back to the arena
 // (via the service's reclaim callback), so the namespace no longer leaks
 // under holder death — the liveness gap the renaming papers leave to the
 // deployment (see docs/leases.md for the state machine and invariants).
+//
+// No clock on the holder's path. This is the classical heartbeat
+// failure detector: holders count, the detector keeps the time. Each
+// call is one seq_cst RMW on the holder's own Heartbeat line plus one
+// load of its reaper-set `doomed` word. The reaper alone reads the clock
+// and keeps, per heartbeat, the count it last saw and the tick it first
+// saw it (`seen`, `still_since`). It expires a heartbeat-bound lease
+// only when, in this order:
+//   1. the cell's owner word is loaded (acquire) and live;
+//   2. the count still equals `seen` and has since `still_since + ttl +
+//      grace <= now` (a moved count resets the record instead);
+//   3. the deadline, if renew() pushed one, has passed grace ago;
+//   4. after a seq_cst store of `doomed`, a seq_cst re-load of the count
+//      still equals `seen`;
+//   5. the CAS of the owner word from step 1 to dead succeeds.
+// The holder's bump-then-load and the reaper's doom-then-reload are a
+// store-load (Dekker) pair, which seq_cst orders: in the single total
+// order either the reload sees the bump (the reaper skips) or the
+// holder's load sees the doom, and the holder then revalidates every
+// stashed name by an owner-word CAS (validate()). That CAS bumps the
+// version, and the reaper's step-1 word precedes it (the acquire in step
+// 1 would otherwise order the holder's bump before the reload), so the
+// reaper's step-5 CAS fails. The owner-word CAS still decides every
+// holder-vs-reaper race.
 //
 // Structure: renaming exists to make names dense small integers, so the
 // lease state needs no map. The table is a flat array of per-name cells,
@@ -19,29 +43,36 @@
 // version} plus an exact 64-bit deadline, padded to its own cache line:
 // names interleave shards in their low bits, so neighbouring cells belong
 // to other threads' home shards and would otherwise share a line.
-//   * open   — a deadline store, then a release store of the owner word;
-//   * close  — one CAS of the owner word to dead;
-//   * renew / rebind — a monotone deadline push, then one CAS that bumps
-//     the version (rebind also installs the new holder id). A self-rebind
-//     whose heartbeat is already stamped at the call's tick skips the
-//     push: the stamp covers it (see refresh());
-//   * expire — the reaper's CAS of the owner word to dead, taken only
-//     when max(deadline, heartbeat + ttl) + grace <= now.
-// The owner-word CAS orders a holder's op against the reaper: every
-// transition bumps the version, so whichever CAS lands second fails and
-// re-reads the word. Exactly one of {holder's close(), reaper's expiry}
-// moves a live word to dead. The services free an arena cell only after
-// winning the close, and the reaper frees it only after winning the
-// expiry — so a revived holder's late release is *detected* (close
-// fails, the service reports kLeaseExpired / a guard trip), never applied
-// to a cell that may already be someone else's. Expiry checks are exact
-// at the reaper's read, so a lease can expire late but never early.
+//   * open     — a deadline store, then a release store of the owner word;
+//   * close    — one CAS of the owner word to dead;
+//   * renew    — a monotone deadline push (the caller's tick + ttl), then
+//     one CAS that bumps the version;
+//   * rebind / validate — one CAS that bumps the version (rebind also
+//     installs the new holder id);
+//   * expire   — the reaper's CAS of the owner word to dead (steps above).
+// Every transition bumps the version, so whichever CAS lands second
+// fails and re-reads the word. Exactly one of {holder's close(),
+// reaper's expiry} moves a live word to dead. The services free an arena
+// cell only after winning the close, and the reaper frees it only after
+// winning the expiry — so a revived holder's late release is *detected*
+// (close fails, the service reports kLeaseExpired / a guard trip), never
+// applied to a cell that may already be someone else's.
 //
-// The reaper is a scan of the allocated cells. reap() scans on every
-// call; try_reap() — the op-path poll — scans only when the shared
-// next-scan tick has passed, claiming it by CAS, so op traffic scans
-// once per scan period ((ttl + grace) / 16) and an abandoned lease is
-// expired at most one scan period after deadline + grace.
+// The deadline binds a holderless lease (opened with a null heartbeat)
+// and a renewed one; a heartbeat-bound lease opened by a service has a
+// vacuous deadline, since the services read no clock to open it.
+//
+// The reaper is a scan of the allocated cells, serialized by a SimMutex
+// (a scan may be stalled at a sim point; SimMutex waiters keep
+// yielding to the engine, and the op-path poll only try-locks). reap()
+// scans on every call; try_reap() — the op-path poll — scans only when
+// the shared next-scan tick has passed, so op traffic scans once per
+// scan period ((ttl + grace) / 16). The services sample the clock for
+// that poll on one call in kScanSampleEvery of each holder's count.
+// Expiry needs two observations ttl + grace apart, so an abandoned lease
+// is expired at most ttl + grace plus two scan periods after its
+// holder's last op while scans run, and an explicit reap() after an idle
+// period only observes: a second call ttl + grace later expires.
 //
 // Clock domains: ticks come from an injectable clock (LeaseOptions::clock),
 // defaulting to telemetry::trace_ticks() — the TSC in production and the
@@ -67,25 +98,38 @@ namespace loren::lease {
 /// name and its stamped form share one lease cell.
 inline constexpr unsigned kNameIndexBits = 48;
 
-/// One thread's freshness stamp for one service: every op the thread
-/// performs against the service relaxed-stores the current tick here,
-/// which renews *all* of that thread's leases at once (the reaper max()es
-/// the stamp into every effective deadline). The stamp is also the tick
-/// of every lease op later in the same call: the services read the clock
-/// once per call, in the stamp. Nodes are owned by the LeaseTable and
-/// live as long as it does, so a lease may safely name its holder's
-/// heartbeat even after the holder thread exits. A node is presented
-/// to the table only by the thread that registered it, which is what
-/// makes the tallies below single-writer.
+/// How often the op path samples the clock for the reaper's scan gate:
+/// on one call in kScanSampleEvery of each heartbeat's count.
+inline constexpr std::uint64_t kScanSampleEvery = 64;
+
+/// One thread's liveness count for one service: every call the thread
+/// makes to the service bumps it, which keeps *all* of that thread's
+/// leases alive at once. Nodes are owned by the LeaseTable and live as
+/// long as it does, so a lease may safely name its holder's heartbeat
+/// even after the holder thread exits. A node is presented to the table
+/// only by the thread that registered it, which is what makes the
+/// tallies below single-writer.
 struct alignas(kCacheLine) Heartbeat {
-  // mo: relaxed -- single-writer freshness stamp: only the owning thread
-  // stores; the reaper tolerates a stale value (staleness can only delay
-  // an expiry by one scan, never cause a false one, because the effective
-  // deadline is the max of the stamp-derived deadline and the lease's own).
-  // A covered rebind relies on it instead of a deadline push; there the
-  // rebind's acq_rel owner CAS publishes the stamp, so a reaper that
-  // acquires the new owner word reads a stamp at least that recent.
-  std::atomic<std::uint64_t> last{0};
+  /// What one call's beat() saw: the count before the call, and whether
+  /// the reaper had doomed this heartbeat.
+  struct Beat {
+    std::uint64_t count;
+    bool doomed;
+  };
+
+  // mo: seq_cst -- the holder's call count: one seq_cst RMW per call,
+  // then a seq_cst load of `doomed`; the reaper stores `doomed`, then
+  // re-loads the count, both seq_cst. Each side stores then loads, and
+  // only seq_cst forbids both loads missing the other side's store (see
+  // the file comment); a relaxed or release bump would let the reaper's
+  // re-load miss it while the holder's load misses the doom.
+  std::atomic<std::uint64_t> beats{0};
+  // mo: seq_cst -- set by the reaper before its final count re-load,
+  // loaded and cleared by the holder after its bump: the other half of
+  // the store-load handshake on `beats`.
+  std::atomic<std::uint32_t> doomed{0};
+  /// Dense registration id, never reused (the owner word stores id + 1).
+  std::uint32_t id = 0;
   // mo: relaxed -- single-writer tally of leases this holder opened;
   // opened() sums it, exact under quiescence. Mutable: the table counts
   // through the const node its callers present.
@@ -93,12 +137,24 @@ struct alignas(kCacheLine) Heartbeat {
   // mo: relaxed -- single-writer tally of this holder's guard trips;
   // guard_trips() sums it, exact under quiescence.
   mutable std::atomic<std::uint64_t> guard_trips{0};
-  /// Dense registration id, never reused (the owner word stores id + 1).
-  std::uint32_t id = 0;
+  /// The reaper's record, touched only by scans (which the table's scan
+  /// lock serializes): the count the reaper last saw, and the reaper tick
+  /// at which it first saw that count.
+  std::uint64_t seen = ~std::uint64_t{0};
+  std::uint64_t still_since = 0;
 
-  /// The latest stamp; exact on the owning thread.
-  [[nodiscard]] std::uint64_t stamp() const {
-    return last.load(std::memory_order_relaxed);
+  /// The holder's per-call heartbeat: bumps the count, then takes the
+  /// doom. A doomed caller must revalidate every name it parked (stash)
+  /// with LeaseTable::validate before handing one out: the reaper may
+  /// have expired it.
+  Beat beat() {
+    const std::uint64_t count = beats.fetch_add(1, std::memory_order_seq_cst);
+    LOREN_SIM_POINT("lease.beat");
+    if (doomed.load(std::memory_order_seq_cst) == 0) return {count, false};
+    // Cleared before the caller revalidates, so a doom stored during the
+    // revalidation is seen by the next call.
+    doomed.store(0, std::memory_order_seq_cst);
+    return {count, true};
   }
 };
 
@@ -106,8 +162,8 @@ struct LeaseOptions {
   /// Lease lifetime in clock ticks; 0 disables leasing entirely (the
   /// services skip every lease hook — the pre-lease behavior).
   std::uint64_t ttl_ticks = 0;
-  /// Extra ticks past the deadline before the reaper may expire: slack
-  /// for holders whose heartbeat is coarse (one stamp per op).
+  /// Extra ticks past ttl (of a still count, or of a deadline) before the
+  /// reaper may expire: slack for holders that pause between calls.
   std::uint64_t grace = 0;
   /// Tick source; nullptr selects telemetry::trace_ticks (TSC in
   /// production, the engine step counter under -DLOREN_SIM when bound).
@@ -149,9 +205,11 @@ class LeaseTable {
   [[nodiscard]] std::uint64_t scan_period() const { return scan_period_; }
   [[nodiscard]] bool release_guard() const { return release_guard_; }
 
-  /// Registers a lease on `name` held by `hb` (nullable: a lease with no
-  /// heartbeat relies on its deadline alone). Caller has just won the
-  /// arena cell, so `name` has no live lease.
+  /// Registers a lease on `name` held by `hb` (nullable). Its deadline is
+  /// `now_ticks + ttl`, which alone bounds a holderless lease; a lease
+  /// bound to a heartbeat lives while the heartbeat's count moves, so a
+  /// caller with a heartbeat may pass 0 (the services read no clock).
+  /// Caller has just won the arena cell, so `name` has no live lease.
   void open(sim::Name name, std::uint64_t now_ticks, const Heartbeat* hb,
             telemetry::MetricsRegistry::ThreadStripe* stripe);
 
@@ -167,26 +225,25 @@ class LeaseTable {
   [[nodiscard]] bool close(sim::Name name, const Heartbeat* hb,
                            telemetry::MetricsRegistry::ThreadStripe* stripe);
 
-  /// Explicit renewal: pushes the lease's own deadline to now + ttl.
-  /// False (a guard trip) if the lease no longer exists or is bound to a
+  /// Explicit renewal: pushes the lease's own deadline to now + ttl, so
+  /// it outlives ttl + grace even if the holder's count stops. False (a
+  /// guard trip) if the lease no longer exists or is bound to a
   /// different holder (same ABA rule as close()).
   [[nodiscard]] bool renew(sim::Name name, std::uint64_t now_ticks,
                            const Heartbeat* hb,
                            telemetry::MetricsRegistry::ThreadStripe* stripe);
 
-  /// Refreshes the deadline of a lease this holder owns (or re-homes a
-  /// holderless one onto `hb`) — the stash-absorb hook. Same identity
-  /// rule as close(): a lease bound to a *different* live holder is not
+  /// Binds a lease this holder owns (or a holderless one) to `hb` — the
+  /// stash-absorb hook, one owner-word CAS. Same identity rule as
+  /// close(): a lease bound to a *different* live holder is not
   /// stealable; false is a counted guard trip and the caller must not
-  /// absorb the name. A lease already bound to `hb` whose stamp is at
-  /// least `now_ticks` keeps its deadline: the stamp covers it.
-  [[nodiscard]] bool rebind(sim::Name name, std::uint64_t now_ticks,
-                            const Heartbeat* hb);
+  /// absorb the name.
+  [[nodiscard]] bool rebind(sim::Name name, const Heartbeat* hb);
 
   /// True iff a lease on `name` exists and is held by `hb` — the stash
-  /// revalidation probe a thread runs after noticing its own heartbeat
-  /// went stale (its stashed names may have been reaped and reissued).
-  /// One owner-word CAS that bumps the version, so a reaper that read the
+  /// revalidation a doomed holder runs before handing a parked name out
+  /// (its stashed names may have been reaped and reissued). One
+  /// owner-word CAS that bumps the version, so a reaper that read the
   /// word first fails its expiry CAS: exactly one of the two wins. A
   /// mismatch is counted as a guard trip.
   [[nodiscard]] bool validate(sim::Name name, const Heartbeat* hb);
@@ -199,9 +256,11 @@ class LeaseTable {
   }
 
   /// Expires every stale lease and reclaims its cell via the callback.
-  /// Returns the number of cells reclaimed. reap() always scans;
-  /// try_reap() scans only if it claims the next scan period (one CAS),
-  /// so concurrent pollers scan once per period between them.
+  /// Returns the number of cells reclaimed. reap() always scans, waiting
+  /// out a scan in progress; try_reap() scans only if the next scan
+  /// period is due and no scan is running, so concurrent pollers scan
+  /// once per period between them. A heartbeat-bound lease needs two
+  /// scans ttl + grace apart: the first observes its holder's count.
   std::size_t reap(std::uint64_t now_ticks,
                    telemetry::MetricsRegistry::ThreadStripe* stripe);
   std::size_t try_reap(std::uint64_t now_ticks,
@@ -291,16 +350,14 @@ class LeaseTable {
   struct alignas(kCacheLine) Cell {
     // mo: acquire, release -- the owner word {live, holder, version}:
     // every transition is a release store (open) or an acq_rel CAS;
-    // readers acquire it before trusting the deadline.
+    // readers acquire it before trusting the deadline, and the reaper's
+    // acquire load precedes its count re-load (see the file comment).
     std::atomic<std::uint64_t> owner{0};
     // mo: relaxed -- exact deadline; published by the owner-word release
     // that follows every write of it.
     std::atomic<std::uint64_t> deadline{0};
   };
 
-  /// The renew/rebind body: a monotone deadline push, then the owner CAS.
-  bool refresh(sim::Name name, std::uint64_t now_ticks, const Heartbeat* hb,
-               bool rebind);
   /// Counts one event on the caller's own heartbeat tally (`own`), or on
   /// the shared `anon` tally when the caller is holderless (own null).
   static void tally(std::atomic<std::uint64_t>* own,
@@ -322,8 +379,12 @@ class LeaseTable {
   LazyDir<Cell, 6> cells_;  // first chunk: 64 cells, one 4 KiB page
   LazyDir<Heartbeat, 6> heartbeats_;
 
-  // mo: relaxed -- the op-path scan gate: it only elects who scans when;
-  // the scan itself synchronizes per cell through the owner words.
+  // Serializes scans: the per-heartbeat records are the scan's own
+  // state. A SimMutex, because a scan may be stalled at lease.expire.
+  SimMutex scan_mu_;
+  // mo: relaxed -- the op-path scan gate: it only elects when to scan;
+  // it is written under scan_mu_, and the scan itself synchronizes per
+  // cell through the owner words.
   alignas(kCacheLine) std::atomic<std::uint64_t> next_scan_{0};
   // mo: relaxed -- heartbeat id allocator; the chunk CAS publishes nodes.
   alignas(kCacheLine) std::atomic<std::uint64_t> next_id_{0};

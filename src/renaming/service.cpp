@@ -192,19 +192,13 @@ void RenamingService::lease_heartbeat(
     lease::Heartbeat*& hb, NameStash* st, RegisteredCounter::Node& counter,
     telemetry::MetricsRegistry::ThreadStripe& stripe) {
   if (hb == nullptr) hb = &leases_->register_thread();
-  const std::uint64_t now = leases_->now();
-  // mo:relaxed-ok(single-writer heartbeat stamp; the reaper's max() with
-  // the lease deadline makes a stale read expiry-delaying, never
-  // expiry-causing — see lease/lease_table.h)
-  const std::uint64_t prev = hb->last.load(std::memory_order_relaxed);
-  // mo:relaxed-ok(same single-writer stamp contract)
-  hb->last.store(now, std::memory_order_relaxed);
-  if (prev != 0 && now - prev >= leases_->ttl() && st != nullptr) {
-    // This thread went quiet for a full ttl: its leases may have been
-    // reaped, so every stashed name must be revalidated before it can be
-    // re-issued. A name whose lease is gone was already reclaimed into
-    // the arena — dropping the stash entry is the correct (and only
-    // safe) move.
+  const lease::Heartbeat::Beat beat = hb->beat();
+  if (beat.doomed && st != nullptr) {
+    // The reaper found this thread quiet for ttl + grace: its stashed
+    // leases may have been expired, so every stashed name must be
+    // revalidated (an owner-word CAS) before it can be re-issued. A name
+    // whose lease is gone was already reclaimed into the arena —
+    // dropping the stash entry is the correct (and only safe) move.
     cache_sync_gen(*st);
     if (!st->empty()) {
       Name buf[NameStash::kMaxCapacity];
@@ -214,6 +208,10 @@ void RenamingService::lease_heartbeat(
       }
     }
   }
+  // The op-path scan gate: the only clock read on a holder's path, on
+  // one call in kScanSampleEvery.
+  if (beat.count % lease::kScanSampleEvery != 0) return;
+  const std::uint64_t now = leases_->now();
   if (leases_->scan_due(now)) {
     const std::size_t reclaimed = leases_->try_reap(now, &stripe);
     if (reclaimed > 0) {
@@ -237,8 +235,9 @@ Name RenamingService::renew_lease(Name name) {
   }
   lease_heartbeat(per.hb, options_.name_cache ? &per.stash : nullptr,
                   *per.counter, *per.stripe);
-  return leases_->renew(name, per.hb->stamp(), per.hb, per.stripe) ? name
-                                                          : kLeaseExpired;
+  return leases_->renew(name, leases_->now(), per.hb, per.stripe)
+             ? name
+             : kLeaseExpired;
 }
 
 std::size_t RenamingService::reap_expired() {
@@ -250,7 +249,7 @@ std::size_t RenamingService::reap_expired() {
     per.counter = &live_.register_thread();
     per.stripe = &ins_.registry->stripe();
   }
-  // Deliberately NO heartbeat stamp here: reap_expired is a maintenance
+  // Deliberately NO heartbeat beat here: reap_expired is a maintenance
   // op (a dedicated reaper holds nothing; the post-crash drain must be
   // able to expire the *caller's own* abandoned names). Holders keep
   // their leases alive through regular ops or renew_lease().
@@ -363,7 +362,7 @@ Name RenamingService::acquire() {
     RegisteredCounter::add(*per.counter, 1);
     const Name name = static_cast<Name>(local);
     if (leases_ != nullptr) {
-      leases_->open(name, per.hb->stamp(), per.hb, per.stripe);
+      leases_->open(name, 0, per.hb, per.stripe);
     }
     note_probes();
     return finish(name);
@@ -485,7 +484,7 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
     RegisteredCounter::add(*per.counter, static_cast<std::int64_t>(shared_got));
     if (leases_ != nullptr) {
       for (std::uint64_t i = 0; i < shared_got; ++i) {
-        leases_->open(out[got + i], per.hb->stamp(), per.hb, per.stripe);
+        leases_->open(out[got + i], 0, per.hb, per.stripe);
       }
     }
   }
@@ -565,7 +564,7 @@ std::uint64_t RenamingService::release_many(const Name* names,
       // (the original holder may exit; the stash must keep it alive). A
       // rebind the reaper already beat means the cell isn't ours to park.
       if (leases_ != nullptr &&
-          !leases_->rebind(name, per.hb->stamp(), per.hb) &&
+          !leases_->rebind(name, per.hb) &&
           leases_->release_guard()) {
         continue;
       }
@@ -623,7 +622,7 @@ bool RenamingService::release(Name name) {
     if (!group_->is_held(local)) return finish(false);
     // Absorbing re-homes the lease onto this thread (see release_many).
     if (leases_ != nullptr &&
-        !leases_->rebind(name, per.hb->stamp(), per.hb) &&
+        !leases_->rebind(name, per.hb) &&
         leases_->release_guard()) {
       return finish(false);
     }

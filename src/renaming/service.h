@@ -231,8 +231,9 @@ class RenamingService {
   /// when the cache is off or the stash is empty.
   std::uint64_t flush_thread_cache();
 
-  /// Explicitly renews the calling thread's lease on `name` (every
-  /// service op already renews implicitly by stamping the thread's
+  /// Explicitly renews the calling thread's lease on `name`: pushes its
+  /// deadline to now + ttl, so it survives even if the thread goes quiet
+  /// (every service op already renews implicitly by bumping the thread's
   /// heartbeat — this is for holders that go quiet between ops, e.g. a
   /// thread parking on I/O while holding names). Returns `name` on
   /// success and kLeaseExpired when the lease no longer exists: the
@@ -242,9 +243,13 @@ class RenamingService {
 
   /// One full blocking reap pass over the lease table: every stale lease
   /// is expired and its cell handed back to the arena. Returns the
-  /// number of cells reclaimed. The op paths already poll try_reap()
-  /// periodically — this is the deterministic variant for tests,
-  /// shutdown drains, and dedicated reaper threads. 0 with leasing off.
+  /// number of cells reclaimed. A lease is stale once its holder's
+  /// heartbeat count stood still for ttl + grace between two passes, so
+  /// after an idle period the first call only observes and a second
+  /// call ttl + grace later expires. The op paths already poll
+  /// try_reap() periodically — this is the deterministic variant for
+  /// tests, shutdown drains, and dedicated reaper threads. 0 with
+  /// leasing off.
   std::size_t reap_expired();
 
   /// Lease observability (all 0 / false with leasing off).
@@ -381,12 +386,11 @@ class RenamingService {
                                const lease::Heartbeat* hb);
 
   /// Per-op lease prologue (called only when leasing is on): registers
-  /// and stamps the calling thread's heartbeat, revalidates the stash
-  /// after a self-detected stale gap (its names may have been reaped),
-  /// and, once per scan period, the op-path try_reap poll. The hb
-  /// reference is the caller's per-thread per-service context field.
-  /// This is the call's one clock read: later lease ops in the call
-  /// take their tick from hb->stamp().
+  /// and beats the calling thread's heartbeat, revalidates the stash
+  /// when the reaper doomed the heartbeat (its names may have been
+  /// reaped), and, on one call in lease::kScanSampleEvery, reads the
+  /// clock for the op-path try_reap poll. The hb reference is the
+  /// caller's per-thread per-service context field.
   void lease_heartbeat(lease::Heartbeat*& hb, NameStash* st,
                        RegisteredCounter::Node& counter,
                        telemetry::MetricsRegistry::ThreadStripe& stripe);

@@ -1,16 +1,18 @@
 // The lease subsystem (lease/lease_table.h) under a fake, test-owned
 // clock — every deadline comparison here is exact, not timing-dependent:
 //
-//   * open/close/renew/rebind units — live counts, close-after-close and
-//     renew-after-expiry guard trips, rebind re-homing a lease onto a
-//     new holder's heartbeat, and a self-rebind skipping its deadline
-//     push only when the holder's stamp covers it;
-//   * expiry boundary — a lease expires at exactly open + ttl + grace,
-//     never one tick earlier (the "no false expiry" half of the reaper
-//     contract, checked to the tick);
-//   * heartbeat renewal — a holder that keeps stamping its heartbeat
-//     keeps every lease alive indefinitely; the moment it stops, the
-//     stale leases expire at stamp + ttl + grace;
+//   * open/close/renew/rebind/validate units — live counts, close-after-
+//     close and renew-after-expiry guard trips, rebind re-homing a lease
+//     onto a new holder's heartbeat;
+//   * expiry boundary — a holderless lease expires at exactly open + ttl
+//     + grace, never one tick earlier (the "no false expiry" half of the
+//     reaper contract, checked to the tick);
+//   * heartbeat counts — a holder that keeps beating keeps every lease
+//     alive indefinitely; once it stops, its leases expire ttl + grace
+//     after the reaper first saw the final count, never earlier, and a
+//     beat the reaper did not see yet defers the expiry;
+//   * the doom handshake — a holder that wakes mid-scan sees the doom,
+//     drops the names already expired and keeps the rest;
 //   * clock jumps — deadlines at deltas around 64 / 4096 / 262144 (the
 //     level boundaries of the timer wheel the table once used) expire
 //     exactly on time, and one coarse jump expires each exactly once;
@@ -20,12 +22,14 @@
 //     chunks keep distinct identities, and the reaper resolves each one;
 //   * lock-free protocol under real threads (TSan) — holders racing a
 //     reaper on a fast clock: every expiry reclaimed exactly once, no
-//     holder op wins a lease the reaper already expired;
+//     holder op wins a lease the reaper already expired; stash churners
+//     against a reaper that dooms them never share a name;
 //   * service integration (both services) — abandoned names are reaped
 //     back into the arena and become re-acquirable, a revived holder's
 //     late release is rejected, renew_lease reports kLeaseExpired; on the
 //     elastic word scan, a reaped cell reissued to the same thread frees
-//     exactly once.
+//     exactly once. A reap after an idle period only observes the
+//     holders' counts, so these cases reap once before each clock jump.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -108,27 +112,32 @@ TEST_F(LeaseUnit, ExpiresAtExactlyTtlPlusGraceNeverEarlier) {
   EXPECT_FALSE(t.close(7, nullptr, nullptr));
 }
 
-TEST_F(LeaseUnit, HeartbeatKeepsEveryLeaseAliveUntilItStops) {
+TEST_F(LeaseUnit, BeatingHolderKeepsEveryLeaseAliveUntilItStops) {
   Reclaimed rec;
   lease::LeaseTable t(opts_with(/*ttl=*/50, /*grace=*/5), nullptr);
   t.set_reclaimer(&Reclaimed::sink, &rec);
   lease::Heartbeat& hb = t.register_thread();
-  hb.last.store(fake_now(), std::memory_order_relaxed);
-  for (Name n = 0; n < 8; ++n) t.open(n, t.now(), &hb, nullptr);
-  // Stamp every 40 ticks (< ttl): across 20 deadline-spans of wall time,
-  // nothing may expire — one stamp renews all eight leases at once.
-  for (int i = 0; i < 20; ++i) {
-    g_now += 40;
-    hb.last.store(fake_now(), std::memory_order_relaxed);
+  for (Name n = 0; n < 8; ++n) t.open(n, 0, &hb, nullptr);
+  // Beat every 40 ticks (< ttl + grace) and reap every 10: across 16
+  // deadline-spans of wall time nothing may expire — one beat renews all
+  // eight leases at once, and a count still for under ttl + grace is
+  // never enough.
+  for (int i = 0; i < 80; ++i) {
+    g_now += 10;
+    if (i % 4 == 0) hb.beat();
     EXPECT_EQ(t.reap(t.now(), nullptr), 0u) << "false expiry at pass " << i;
   }
   EXPECT_EQ(t.leases_live(), 8u);
-  // Holder dies (stops stamping): everything expires at stamp + ttl +
-  // grace, and the tick before that is still alive.
-  const std::uint64_t stamp = hb.last.load(std::memory_order_relaxed);
-  g_now = stamp + 50 + 5 - 1;
+  // Holder dies after one last beat, which the reaper observes at once:
+  // everything expires at beat + ttl + grace, and the tick before that
+  // is still alive.
+  g_now += 10;
+  hb.beat();
+  const std::uint64_t last = fake_now();
   EXPECT_EQ(t.reap(t.now(), nullptr), 0u);
-  g_now = stamp + 50 + 5;
+  g_now = last + 50 + 5 - 1;
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u);
+  g_now = last + 50 + 5;
   EXPECT_EQ(t.reap(t.now(), nullptr), 8u);
   EXPECT_EQ(t.leases_live(), 0u);
   EXPECT_EQ(rec.names.size(), 8u);
@@ -157,77 +166,137 @@ TEST_F(LeaseUnit, RebindEnforcesHolderIdentity) {
   t.set_reclaimer(&Reclaimed::sink, &rec);
   lease::Heartbeat& a = t.register_thread();
   lease::Heartbeat& b = t.register_thread();
-  a.last.store(fake_now(), std::memory_order_relaxed);
-  b.last.store(fake_now(), std::memory_order_relaxed);
-  t.open(9, t.now(), &a, nullptr);
+  t.open(9, 0, &a, nullptr);
   EXPECT_TRUE(t.validate(9, &a));
   EXPECT_FALSE(t.validate(9, &b)) << "validate matched a foreign holder";
   // A lease bound to a live holder is not stealable — the same-bits ABA
   // defense: when a reaped name is reissued, the revived original holder
   // presents the wrong heartbeat and every mutation is rejected instead
   // of silently applied to the new holder's lease.
-  EXPECT_FALSE(t.rebind(9, t.now(), &b));
+  EXPECT_FALSE(t.rebind(9, &b));
   EXPECT_FALSE(t.close(9, &b, nullptr)) << "foreign close closed a's lease";
   EXPECT_FALSE(t.renew(9, t.now(), &b, nullptr));
   EXPECT_GE(t.guard_trips(), 3u);
   EXPECT_EQ(t.leases_live(), 1u);
   // Self-rebind is the refresh path (a stash re-absorb by the holder).
-  EXPECT_TRUE(t.rebind(9, t.now(), &a));
+  EXPECT_TRUE(t.rebind(9, &a));
   EXPECT_TRUE(t.close(9, &a, nullptr));
   // A holderless lease may be adopted by anyone; from then on only the
-  // adopter's heartbeat sustains it.
+  // adopter's count sustains it.
   g_now = 1000;
   t.open(11, t.now(), nullptr, nullptr);
-  EXPECT_TRUE(t.rebind(11, t.now(), &b));
+  b.beat();
+  EXPECT_TRUE(t.rebind(11, &b));
   EXPECT_TRUE(t.validate(11, &b));
   for (int i = 0; i < 4; ++i) {
     g_now += 40;
-    b.last.store(fake_now(), std::memory_order_relaxed);
+    b.beat();
     EXPECT_EQ(t.reap(t.now(), nullptr), 0u) << "rebind lost the new holder";
   }
-  // b stops; a's stamps must not count for b's lease.
-  g_now += 50;
-  a.last.store(fake_now(), std::memory_order_relaxed);
-  EXPECT_EQ(t.reap(t.now(), nullptr), 1u)
-      << "a foreign heartbeat kept a rebound lease alive";
+  // b stops (the last reap saw its final count); a's beats must not
+  // count for b's lease.
+  const std::uint64_t b_last = fake_now();
+  for (int i = 0; i < 6; ++i) {
+    g_now += 10;
+    a.beat();
+    EXPECT_EQ(t.reap(t.now(), nullptr), fake_now() == b_last + 50 ? 1u : 0u)
+        << "a foreign heartbeat kept a rebound lease alive at pass " << i;
+  }
+  EXPECT_EQ(t.leases_live(), 0u);
 }
 
-TEST_F(LeaseUnit, CoveredSelfRebindExpiresAtStampPlusTtlPlusGrace) {
-  // A self-rebind whose heartbeat is stamped at the rebind's tick keeps
-  // the old deadline: the stamp alone carries the lease to t + ttl +
-  // grace, exactly as the skipped push would have.
+TEST_F(LeaseUnit, SelfRebindAfterABeatExpiresAtBeatPlusTtlPlusGrace) {
+  // A rebind takes no tick: a lease rebound by its holder lives exactly
+  // as long as the holder's count moves. Opened at 1, so an expiry at
+  // 1 + 50 + 5 = 56 would be early once the holder beat at 30.
   Reclaimed rec;
   lease::LeaseTable t(opts_with(/*ttl=*/50, /*grace=*/5), nullptr);
   t.set_reclaimer(&Reclaimed::sink, &rec);
   lease::Heartbeat& a = t.register_thread();
-  a.last.store(fake_now(), std::memory_order_relaxed);
-  t.open(3, a.stamp(), &a, nullptr);  // deadline 51
+  a.beat();
+  t.open(3, 0, &a, nullptr);
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u);  // observes the count at 1
   g_now = 30;
-  a.last.store(fake_now(), std::memory_order_relaxed);
-  EXPECT_TRUE(t.rebind(3, a.stamp(), &a));
+  a.beat();
+  EXPECT_TRUE(t.rebind(3, &a));
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u);  // observes the beat at 30
   g_now = 30 + 50 + 5 - 1;
-  EXPECT_EQ(t.reap(t.now(), nullptr), 0u) << "covered rebind expired early";
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u) << "rebound lease expired early";
   g_now = 30 + 50 + 5;
-  EXPECT_EQ(t.reap(t.now(), nullptr), 1u) << "covered rebind expired late";
+  EXPECT_EQ(t.reap(t.now(), nullptr), 1u) << "rebound lease expired late";
 }
 
-TEST_F(LeaseUnit, UncoveredSelfRebindStillPushesTheDeadline) {
-  // A heartbeat older than the rebind's tick does not cover it: the
-  // deadline must move to now + ttl, or the lease would die at the stale
-  // stamp's expiry (1 + 50 + 5 = 56).
+TEST_F(LeaseUnit, AnUnobservedBeatStillDefersExpiry) {
+  // The reaper last saw the count at 1; the holder beats at 30 and no
+  // scan runs until 56, the old expiry tick. That scan sees a moved count
+  // and restarts the still period instead of expiring, so the lease
+  // dies at 56 + ttl + grace: late by the gap between the beat and its
+  // first observation, never early.
   Reclaimed rec;
   lease::LeaseTable t(opts_with(/*ttl=*/50, /*grace=*/5), nullptr);
   t.set_reclaimer(&Reclaimed::sink, &rec);
   lease::Heartbeat& a = t.register_thread();
-  a.last.store(fake_now(), std::memory_order_relaxed);
-  t.open(3, a.stamp(), &a, nullptr);  // deadline 51
+  a.beat();
+  t.open(3, 0, &a, nullptr);
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u);
   g_now = 30;
-  EXPECT_TRUE(t.rebind(3, t.now(), &a));
-  g_now = 30 + 50 + 5 - 1;
+  a.beat();
+  g_now = 1 + 50 + 5;
   EXPECT_EQ(t.reap(t.now(), nullptr), 0u)
-      << "an uncovered rebind skipped its deadline push";
-  g_now = 30 + 50 + 5;
+      << "an unobserved beat did not defer the expiry";
+  g_now = 56 + 50 + 5 - 1;
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u);
+  g_now = 56 + 50 + 5;
   EXPECT_EQ(t.reap(t.now(), nullptr), 1u);
+}
+
+TEST_F(LeaseUnit, HolderThatSeesTheDoomWinsTheOwnerWord) {
+  // The handshake order where the holder sees the doom: the reaper dooms
+  // a quiet holder and expires its stale leases in cell order; the
+  // reclaim of cell 1 hands control to the holder mid-scan. Its next
+  // call sees the doom, and its stash revalidation (validate, an
+  // owner-word CAS) decides each parked name: the names the reaper
+  // already expired are gone (counted trips), the names it has not
+  // reached are the holder's again, and the reaper, reaching them with
+  // the count moved, skips them. The race of the revalidation CAS with
+  // an expiry CAS already past its checks is pinned under the scenario
+  // engine (ScenarioLease.HandshakeDoomSeenRevalidationWinsTheOwnerWord).
+  struct Holder {
+    lease::LeaseTable* t = nullptr;
+    lease::Heartbeat* hb = nullptr;
+    std::vector<Name> reclaimed;
+    std::vector<Name> kept;
+    bool doomed = false;
+    static bool sink(void* ctx, Name n) {
+      auto* h = static_cast<Holder*>(ctx);
+      h->reclaimed.push_back(n);
+      if (n == 1) {
+        h->doomed = h->hb->beat().doomed;
+        for (Name m = 0; m < 4; ++m) {
+          if (h->t->validate(m, h->hb)) h->kept.push_back(m);
+        }
+      }
+      return true;
+    }
+  } holder;
+  lease::LeaseTable t(opts_with(/*ttl=*/50, /*grace=*/5), nullptr);
+  t.set_reclaimer(&Holder::sink, &holder);
+  lease::Heartbeat& a = t.register_thread();
+  holder.t = &t;
+  holder.hb = &a;
+  a.beat();
+  for (Name n = 0; n < 4; ++n) t.open(n, 0, &a, nullptr);
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u);
+  g_now = 1 + 50 + 5;
+  // Cells 0 and 1 expire; the holder wakes in cell 1's reclaim, sees the
+  // doom, and revalidates: 0 and 1 are gone, 2 and 3 are its own again.
+  // Cells 2 and 3 then show a moved count, so the reaper skips them.
+  EXPECT_EQ(t.reap(t.now(), nullptr), 2u);
+  EXPECT_TRUE(holder.doomed) << "the holder missed the doom";
+  EXPECT_EQ(holder.reclaimed, (std::vector<Name>{0, 1}));
+  EXPECT_EQ(holder.kept, (std::vector<Name>{2, 3}));
+  EXPECT_EQ(t.leases_live(), 2u);
+  EXPECT_EQ(t.guard_trips(), 2u) << "each dropped name is one counted trip";
 }
 
 TEST_F(LeaseUnit, WheelCascadeExpiresInDeadlineOrderAcrossClockJumps) {
@@ -340,7 +409,7 @@ TEST_F(LeaseUnit, TryReapScansOncePerPeriodAndIsAtMostOnePeriodLate) {
 TEST_F(LeaseUnit, HeartbeatDirectoryKeepsHoldersDistinctAcrossChunks) {
   // More holders than one directory chunk holds: every heartbeat must be
   // its own node, and the reaper must resolve each lease to its own
-  // holder's stamp — only the holders that stopped stamping lose leases.
+  // holder's count — only the holders that stopped beating lose leases.
   Reclaimed rec;
   lease::LeaseTable t(opts_with(/*ttl=*/50), nullptr);
   t.set_reclaimer(&Reclaimed::sink, &rec);
@@ -350,11 +419,10 @@ TEST_F(LeaseUnit, HeartbeatDirectoryKeepsHoldersDistinctAcrossChunks) {
   std::set<std::uint32_t> ids;
   for (int i = 0; i < kHolders; ++i) {
     lease::Heartbeat& hb = t.register_thread();
-    hb.last.store(fake_now(), std::memory_order_relaxed);
     hbs.push_back(&hb);
     nodes.insert(&hb);
     ids.insert(hb.id);
-    t.open(i, t.now(), &hb, nullptr);
+    t.open(i, 0, &hb, nullptr);
   }
   EXPECT_EQ(nodes.size(), static_cast<std::size_t>(kHolders));
   EXPECT_EQ(ids.size(), static_cast<std::size_t>(kHolders));
@@ -362,11 +430,12 @@ TEST_F(LeaseUnit, HeartbeatDirectoryKeepsHoldersDistinctAcrossChunks) {
     EXPECT_TRUE(t.validate(i, hbs[i]));
     EXPECT_FALSE(t.validate(i, hbs[(i + 1) % kHolders]));
   }
-  // Odd holders keep stamping; even holders go quiet.
+  // Odd holders keep beating; even holders go quiet. The first pass only
+  // observes every count; the even ones then stand still past ttl.
   for (int pass = 0; pass < 3; ++pass) {
     g_now += 40;
     for (int i = 1; i < kHolders; i += 2) {
-      hbs[i]->last.store(fake_now(), std::memory_order_relaxed);
+      hbs[i]->beat();
     }
     t.reap(t.now(), nullptr);
   }
@@ -379,7 +448,7 @@ TEST_F(LeaseUnit, HeartbeatDirectoryKeepsHoldersDistinctAcrossChunks) {
 // Holders race the reaper for real: each holder thread opens, renews,
 // rebinds and closes leases on its own names while a reaper thread
 // drives a fast clock and alternates reap() with try_reap(). Holders
-// stamp their heartbeat only now and then, so leases keep expiring under
+// beat their heartbeat only now and then, so leases keep expiring under
 // them. Every lease epoch (one open) must end exactly one way — closed by
 // its holder, expired by the reaper (one reclaim callback), or still
 // live — which is what fails if a holder op and the reaper both win.
@@ -429,7 +498,7 @@ TEST_F(LeaseUnit, ConcurrentHoldersAndReaperAgreeOnEveryLease) {
         const int i = static_cast<int>(rng.below(kNamesEach));
         const Name n = name_of(h, i);
         Tally& tl = tallies[h][i];
-        if (rng.below(256) == 0) hb.last.store(t.now(), std::memory_order_relaxed);
+        if (rng.below(256) == 0) hb.beat();
         if (rng.below(64) == 0) {
           // Go quiet past ttl + grace, so the reaper expires leases this
           // holder still believes open and the next ops race it.
@@ -437,7 +506,7 @@ TEST_F(LeaseUnit, ConcurrentHoldersAndReaperAgreeOnEveryLease) {
           while (t.now() < until) std::this_thread::yield();
         }
         if (!open[i]) {
-          t.open(n, t.now(), &hb, nullptr);
+          t.open(n, 0, &hb, nullptr);
           ++tl.opens;
           open[i] = true;
           continue;
@@ -457,7 +526,7 @@ TEST_F(LeaseUnit, ConcurrentHoldersAndReaperAgreeOnEveryLease) {
             ok = t.renew(n, t.now(), &hb, nullptr);
             break;
           default:
-            ok = t.rebind(n, t.now(), &hb);
+            ok = t.rebind(n, &hb);
             break;
         }
         if (ok && already_expired) ++tl.won_after_expiry;
@@ -548,6 +617,9 @@ TEST_F(LeaseService, FixedServiceReapsAbandonedNamesBackIntoTheArena) {
   victim.join();
   EXPECT_EQ(svc.names_live(), 16u);
   EXPECT_EQ(svc.leases_live(), 16u);
+  // The reaper first observes the dead holder's count; expiry needs it
+  // to stand still for ttl + grace after that.
+  EXPECT_EQ(svc.reap_expired(), 0u);
 
   // Before the ttl runs out the names are (correctly) still theirs.
   g_now += 500;
@@ -579,6 +651,7 @@ TEST_F(LeaseService, FixedServiceRejectsARevivedHoldersLateRelease) {
 
   const Name n = svc.acquire();
   ASSERT_GE(n, 0);
+  EXPECT_EQ(svc.reap_expired(), 0u);  // observes the holder's count
   g_now += 500;  // the holder goes dark for 5 ttls...
   EXPECT_EQ(svc.reap_expired(), 1u);
   EXPECT_EQ(svc.names_live(), 0u);
@@ -611,6 +684,7 @@ TEST_F(LeaseService, FixedServiceRenewLeaseContract) {
   // A renewal after expiry reports exactly kLeaseExpired.
   const Name m = svc.acquire();
   ASSERT_GE(m, 0);
+  EXPECT_EQ(svc.reap_expired(), 0u);  // observes the holder's count
   g_now += 1000;
   EXPECT_EQ(svc.reap_expired(), 1u);
   EXPECT_EQ(svc.renew_lease(m), RenamingService::kLeaseExpired);
@@ -623,7 +697,7 @@ TEST_F(LeaseService, FixedServiceOpsHeartbeatLeasesAliveImplicitly) {
   RenamingService svc(64, opts);
 
   // A churning holder never explicitly renews: its ordinary acquire/
-  // release traffic stamps the heartbeat, which must keep the *held*
+  // release traffic beats the heartbeat, which must keep the *held*
   // name alive across 50 ttls of wall time.
   const Name held = svc.acquire();
   ASSERT_GE(held, 0);
@@ -659,6 +733,7 @@ TEST_F(LeaseService, ElasticServiceReapsAbandonedNamesAndReissuesThem) {
   });
   victim.join();
   EXPECT_EQ(svc.names_live(), 16u);
+  EXPECT_EQ(svc.reap_expired(), 0u);  // observes the dead holder's count
 
   g_now += 2000;
   EXPECT_EQ(svc.reap_expired(), 16u);
@@ -696,6 +771,7 @@ TEST_F(LeaseService, ElasticServiceRejectsLateReleaseAndRenewAfterExpiry) {
 
   const Name n = svc.acquire();
   ASSERT_GE(n, 0);
+  EXPECT_EQ(svc.reap_expired(), 0u);  // observes the holder's count
   g_now += 500;
   EXPECT_EQ(svc.reap_expired(), 1u);
   EXPECT_EQ(svc.names_live(), 0u);
@@ -729,6 +805,7 @@ TEST_F(LeaseService, ElasticWordScanReissuesTheReapedCellAndItFreesOnce) {
 
   const Name n = svc.acquire();
   ASSERT_GE(n, 0);
+  EXPECT_EQ(svc.reap_expired(), 0u);  // observes the holder's count
   g_now += 500;
   EXPECT_EQ(svc.reap_expired(), 1u);
   EXPECT_EQ(svc.names_live(), 0u);
@@ -767,6 +844,7 @@ TEST_F(LeaseService, ElasticReapReissuesStampedNamesWithTheReleaseGuardOn) {
   ASSERT_GE(static_cast<std::uint64_t>(abandoned[0]),
             std::uint64_t{1} << ElasticRenamingService::kGenStampShift)
       << "the guard did not stamp issued names";
+  EXPECT_EQ(svc.reap_expired(), 0u);  // observes the dead holder's count
 
   g_now += 2000;
   EXPECT_EQ(svc.reap_expired(), 16u);
@@ -816,6 +894,83 @@ TEST_F(LeaseService, StashAbsorbedNamesStayLeasedAndReapable) {
   EXPECT_EQ(svc.reap_expired(), 0u)
       << "the exit flush already closed these leases";
   EXPECT_EQ(svc.lease_guard_trips(), 0u);
+}
+
+// The clock-free protocol under real threads (TSan): holders stash-churn
+// on one leased service while a reaper thread on a fast fake clock dooms
+// and reaps the quiet ones. Each holder now and then goes quiet with a
+// full stash for several ttl + grace, so its parked names expire under
+// it and are reissued to the others; its next call must see the doom and
+// drop them. A shadow occupancy array flags any name two holders hold at
+// once. The clock advances only while no holder has names in hand, so a
+// name in hand never outlives its lease — every release must succeed.
+TEST_F(LeaseService, StashChurnAgainstAFastReaperNeverGrantsANameTwice) {
+  constexpr int kHolders = 3;
+  constexpr int kOps = 3000;
+  constexpr std::uint64_t kTtl = 40, kGrace = 8;
+  const std::uint64_t seed = test::stress_seed("LeaseStashRace", 0x57A5C4u);
+  RenamingServiceOptions opts;
+  opts.name_cache = true;
+  opts.name_cache_capacity = 8;
+  opts.lease = opts_with(kTtl, kGrace);
+  RenamingService svc(64, opts);
+  std::vector<std::atomic<int>> shadow(svc.capacity());  // 0 free, else holder + 1
+  std::atomic<int> in_hand{0};
+  std::atomic<int> running{kHolders};
+  std::atomic<std::uint64_t> doubles{0}, rejected{0}, quiet_spells{0};
+
+  std::vector<std::thread> holders;
+  for (int h = 0; h < kHolders; ++h) {
+    holders.emplace_back([&, h] {
+      Xoshiro256 rng(seed + static_cast<std::uint64_t>(h));
+      for (int op = 0; op < kOps; ++op) {
+        if (rng.below(64) == 0) {
+          // Quiet with a parked stash: the count stands still while the
+          // reaper's clock runs past ttl + grace several times over.
+          const std::uint64_t until = fake_now() + 3 * (kTtl + kGrace);
+          while (fake_now() < until) std::this_thread::yield();
+          quiet_spells.fetch_add(1, std::memory_order_relaxed);
+        }
+        in_hand.fetch_add(1, std::memory_order_seq_cst);
+        Name got[4];
+        const std::uint64_t n = svc.acquire_many(1 + rng.below(4), got);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          int free = 0;
+          if (!shadow[static_cast<std::size_t>(got[i])].compare_exchange_strong(
+                  free, h + 1, std::memory_order_acq_rel)) {
+            doubles.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        for (std::uint64_t i = 0; i < n; ++i) {
+          shadow[static_cast<std::size_t>(got[i])].store(0, std::memory_order_release);
+        }
+        if (svc.release_many(got, n) != n) {
+          rejected.fetch_add(1, std::memory_order_relaxed);
+        }
+        in_hand.fetch_sub(1, std::memory_order_seq_cst);
+      }
+      svc.flush_thread_cache();
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::thread reaper([&] {
+    while (running.load(std::memory_order_acquire) > 0) {
+      if (in_hand.load(std::memory_order_seq_cst) == 0) {
+        g_now.fetch_add(1, std::memory_order_relaxed);
+      }
+      svc.reap_expired();
+      std::this_thread::yield();
+    }
+  });
+  for (auto& th : holders) th.join();
+  reaper.join();
+
+  EXPECT_EQ(doubles.load(), 0u) << "a name was granted to two holders at once";
+  EXPECT_EQ(rejected.load(), 0u) << "a name in hand lost its lease";
+  EXPECT_GT(quiet_spells.load(), 0u);
+  EXPECT_GT(svc.lease_expired(), 0u) << "no parked name was ever reaped";
+  EXPECT_EQ(svc.names_live(), 0u);
+  EXPECT_EQ(svc.leases_live(), 0u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // test-owned lease clock (a file-scope counter the scenario advances
 // explicitly, so every deadline comparison in a run is replayable).
 //
-// The three claims pinned here, per docs/leases.md:
+// The claims pinned here, per docs/leases.md:
 //   1. Recovery: a storm that parks holders forever (crash model:
 //      StallRule{stall_steps = 0}) ends with every abandoned name
 //      reclaimed, zero false expiries of live renewing holders, and
@@ -21,6 +21,9 @@
 //      double-grants the name — the silent ABA the guard exists to stop.
 //      A cached sibling stalls the stash absorb inside LeaseTable's
 //      rebind instead, with the same guarded / unguarded outcomes.
+//   4. The holder/reaper handshake: a quiet holder's stash revalidation
+//      and the reaper's expiry of a stashed name never both win, in
+//      either order of the holder's count bump and the reaper's doom.
 //
 // Only builds under -DLOREN_SIM (CMakeLists excludes scenario_* tests
 // otherwise): the stalls aim at LOREN_SIM_POINT tags.
@@ -28,14 +31,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "elastic/elastic_service.h"
+#include "lease/lease_table.h"
 #include "renaming/service.h"
 #include "sim/scenario/engine.h"
+#include "sim/scenario/explore.h"
 #include "sim/scenario/scenario.h"
 
 namespace loren {
@@ -50,7 +56,7 @@ using sim::Name;
 // Test-owned lease clock. The engine's step counter would also be
 // deterministic, but it only ticks on worker threads — the post-storm
 // reap below runs from the main thread, which must see the same clock
-// the workers' heartbeats were stamped with.
+// the workers' op-path scans read.
 std::atomic<std::uint64_t> g_now{1};
 std::uint64_t fake_now() { return g_now.load(std::memory_order_relaxed); }
 
@@ -176,8 +182,8 @@ ScenarioEngine::Body churner(ElasticRenamingService* svc, Checks* checks,
 }
 
 // The lease clock: one engine worker advancing g_now a tick per slice,
-// so time moves *during* the storm (heartbeats are stamped at differing
-// ticks, renewals matter) while staying far below ttl + grace — a false
+// so time moves *during* the storm (the reaper sees heartbeat counts move
+// at differing ticks) while staying far below ttl + grace — a false
 // expiry of a churner is a bug, not a flake.
 ScenarioEngine::Body ticker(int ticks) {
   return [=](Worker& w) {
@@ -195,9 +201,10 @@ struct StormResult {
 };
 
 // One full crash-storm: 2 victims park holding names, 2 churners + the
-// ticker keep running; after run() returns the main thread jumps the
-// clock past ttl + grace and reaps; finish() then revives the victims
-// into a world where their names belong to someone else.
+// ticker keep running; after run() returns the main thread reaps once
+// (observing), jumps the clock past ttl + grace and reaps; finish() then
+// revives the victims into a world where their names belong to someone
+// else.
 StormResult run_crash_storm(std::uint64_t seed, bool leases_on) {
   g_now.store(1, std::memory_order_relaxed);
   const std::uint64_t ttl = 5000;
@@ -238,7 +245,10 @@ StormResult run_crash_storm(std::uint64_t seed, bool leases_on) {
     EXPECT_EQ(svc.lease_guard_trips(), 0u) << "a guard tripped mid-storm";
   }
 
-  // The holders are dead; let their leases go stale and reap.
+  // The holders are dead; let their leases go stale and reap. The first
+  // reap only observes the victims' heartbeat counts: a lease expires
+  // once its holder's count stood still for ttl + grace after that.
+  svc.reap_expired();
   g_now.fetch_add(ttl + grace + 1, std::memory_order_relaxed);
   r.reaped = svc.reap_expired();
 
@@ -458,9 +468,8 @@ TEST(ScenarioLease, SameScheduleWithGuardOffDoubleGrants) {
 //
 // The cached sibling of the schedule above. With the name cache on, a
 // release parks the name in the thread's stash and rebinds its lease
-// instead of closing it — a self-rebind whose heartbeat was just stamped,
-// so it takes the covered path (no deadline push; the owner-word CAS
-// alone decides). Worker 0 is stalled inside LeaseTable::refresh at the
+// instead of closing it — a self-rebind, one owner-word CAS that alone
+// decides. Worker 0 is stalled inside LeaseTable::rebind at the
 // lease.rebind sim point, between its owner-word load and its CAS; while
 // it hangs, worker 1 ages the lease out, reaps it and reissues the cell.
 // Worker 0's absorb then resumes with stale name bits that now denote
@@ -604,8 +613,9 @@ TEST(ScenarioLease, SameAbsorbScheduleWithGuardOffDoubleGrants) {
 // still lands and frees the cell, and worker 1's next acquire grants
 // the name a second time.
 //
-// Returns true iff the schedule produced a double-grant.
-bool run_pinned_revalidate_vs_expiry(std::string* trace_out) {
+// Returns "" when the schedule kept one owner per name, else the
+// violations found.
+std::string run_revalidate_vs_expiry(const Scenario& scn, std::string* trace) {
   g_now.store(1, std::memory_order_relaxed);
   RenamingServiceOptions opts;
   opts.shards = 1;  // one shard: local index == name, no interleaving
@@ -621,13 +631,6 @@ bool run_pinned_revalidate_vs_expiry(std::string* trace_out) {
   std::atomic<bool> victim_woke{false};
   std::atomic<bool> probed{false};
   std::atomic<bool> double_grant{false};
-
-  Scenario scn;
-  scn.seed = 0xABCu;
-  scn.preempt_every = 1;
-  // Freeze worker 1's reap just before its expiry CAS, long enough for
-  // worker 0 to wake and run a whole acquire.
-  scn.stalls.push_back(StallRule{"lease.expire", 1, 0, 4000, 1});
 
   ScenarioEngine eng(scn);
   const bool done = eng.run(
@@ -670,6 +673,7 @@ bool run_pinned_revalidate_vs_expiry(std::string* trace_out) {
            w.yield("driver.wait_quiet");
          }
          w.yield("driver.age");
+         svc.reap_expired();  // observes the victim's heartbeat count
          g_now.fetch_add(50 + 10 + 1, std::memory_order_relaxed);
          // The driver's own leases stay fresh: renew_lease heartbeats it.
          if (svc.renew_lease(rest[0]) != rest[0]) {
@@ -693,22 +697,144 @@ bool run_pinned_revalidate_vs_expiry(std::string* trace_out) {
          svc.flush_thread_cache();
        }});
   eng.finish();
+  *trace = eng.trace();
 
-  EXPECT_TRUE(done) << "livelock guard tripped\n" << eng.trace();
-  EXPECT_GE(eng.stalls_fired(), 1u) << "the expiry stall never fired";
-  EXPECT_TRUE(checks.ok()) << checks.summary() << eng.trace();
+  std::string out;
+  if (!done) out += "livelock guard tripped\n";
+  if (eng.stalls_fired() == 0) out += "the expiry stall never fired\n";
+  if (!checks.ok()) out += checks.summary();
   // The victim's revalidation reached the owner word first, so the name
   // stays the victim's and the reaper's CAS is the one that fails.
-  EXPECT_EQ(victim_got.load(), victim_name.load()) << eng.trace();
-  if (trace_out != nullptr) *trace_out = eng.trace();
-  return double_grant.load();
+  if (victim_got.load() != victim_name.load()) {
+    out += "the victim lost its stashed name " +
+           std::to_string(victim_name.load()) + " (got " +
+           std::to_string(victim_got.load()) + ")\n";
+  }
+  if (double_grant.load()) {
+    out += "a revalidated stash name was also reaped and reissued\n";
+  }
+  return out;
+}
+
+Scenario revalidate_scenario(std::uint64_t seed, std::uint32_t preempt_every) {
+  Scenario scn;
+  scn.seed = seed;
+  scn.preempt_every = preempt_every;
+  // Freeze worker 1's reap just before its expiry CAS, long enough for
+  // worker 0 to wake and run a whole acquire.
+  scn.stalls.push_back(StallRule{"lease.expire", 1, 0, 4000, 1});
+  return scn;
 }
 
 TEST(ScenarioLease, PinnedRevalidateVsExpiryNeverDoubleGrants) {
   std::string trace;
-  EXPECT_FALSE(run_pinned_revalidate_vs_expiry(&trace))
-      << "a revalidated stash name was also reaped and reissued\n"
-      << trace;
+  const std::string violations =
+      run_revalidate_vs_expiry(revalidate_scenario(0xABCu, 1), &trace);
+  EXPECT_TRUE(violations.empty()) << violations << trace;
+}
+
+TEST(ScenarioLease, RevalidateVsExpiryAcrossSeedsAndBounds) {
+  // The same schedule swept like scenario_explore_test: every seed and
+  // preemption bound must keep one owner per name. CI's sim-explore job
+  // widens the sweep through LOREN_EXPLORE_SEEDS.
+  std::uint64_t seeds = 12;
+  if (const char* env = std::getenv("LOREN_EXPLORE_SEEDS")) {
+    if (const std::uint64_t v = std::strtoull(env, nullptr, 0); v > 0) seeds = v;
+  }
+  scenario::ExploreConfig config;
+  config.base = revalidate_scenario(1, 1);
+  config.first_seed = 1;
+  config.seeds = seeds;
+  config.preempt_intervals = {1, 2, 7};
+  const std::vector<scenario::ExploreFailure> failures =
+      scenario::explore(config, run_revalidate_vs_expiry);
+  EXPECT_TRUE(failures.empty()) << scenario::describe(failures);
+}
+
+// ------------------------------ the holder/reaper handshake, pinned ----
+//
+// LeaseTable driven directly by two engine workers. Worker 0 is a quiet
+// holder with one leased name it treats as parked; worker 1 is the
+// reaper: it observes the holder's count, jumps the clock past ttl +
+// grace and reaps, and a stall freezes it at one step of the handshake
+// while worker 0 makes one call — beat(), then, if doomed, the stash
+// revalidation. Stalled before the doom store, the holder's bump lands
+// first and the reaper's re-load must see it and skip; stalled after the
+// re-load, just before the expiry CAS, the holder must see the doom and
+// its revalidation CAS must make the reaper's CAS fail. Either way the
+// holder keeps the name and nothing is reclaimed.
+struct Handshake {
+  std::size_t reaped = 0;
+  bool doomed = false;  // what the holder's beat() reported
+  bool kept = false;    // the holder still owns the name afterwards
+  std::uint64_t live = 0;
+  bool stalled = false;
+  std::string trace;
+};
+
+Handshake run_handshake(const char* stall_at) {
+  g_now.store(1, std::memory_order_relaxed);
+  lease::LeaseOptions o;
+  o.ttl_ticks = 50;
+  o.grace = 10;
+  o.clock = &fake_now;
+  lease::LeaseTable t(o, nullptr);
+  std::atomic<bool> opened{false};
+  Handshake r;
+
+  Scenario scn;
+  scn.seed = 0xD00Du;
+  scn.preempt_every = 1;
+  scn.stalls.push_back(StallRule{stall_at, 1, 0, 4000, 1});
+  ScenarioEngine eng(scn);
+  const bool done = eng.run(
+      {[&](Worker& w) {
+         w.yield("holder.open");
+         lease::Heartbeat& hb = t.register_thread();
+         hb.beat();
+         t.open(0, 0, &hb, nullptr);
+         opened.store(true, std::memory_order_release);
+         while (eng.stalls_fired() == 0) w.yield("holder.quiet");
+         w.yield("holder.wake");
+         const lease::Heartbeat::Beat beat = hb.beat();
+         r.doomed = beat.doomed;
+         r.kept = !beat.doomed || t.validate(0, &hb);
+       },
+       [&](Worker& w) {
+         while (!opened.load(std::memory_order_acquire)) {
+           w.yield("reaper.wait");
+         }
+         t.reap(t.now(), nullptr);  // observes the holder's count
+         g_now.fetch_add(50 + 10 + 1, std::memory_order_relaxed);
+         r.reaped = t.reap(t.now(), nullptr);
+       }});
+  eng.finish();
+  EXPECT_TRUE(done) << "livelock guard tripped\n" << eng.trace();
+  r.stalled = eng.stalls_fired() == 1;
+  r.live = t.leases_live();
+  r.trace = eng.trace();
+  return r;
+}
+
+TEST(ScenarioLease, HandshakeBumpBeforeDoomSkipsTheExpiry) {
+  const Handshake r = run_handshake("lease.doom");
+  ASSERT_TRUE(r.stalled) << "the doom stall never fired\n" << r.trace;
+  EXPECT_FALSE(r.doomed) << "the bump landed after the doom\n" << r.trace;
+  EXPECT_EQ(r.reaped, 0u) << "the reaper missed a bump before its doom\n"
+                          << r.trace;
+  EXPECT_TRUE(r.kept);
+  EXPECT_EQ(r.live, 1u);
+}
+
+TEST(ScenarioLease, HandshakeDoomSeenRevalidationWinsTheOwnerWord) {
+  const Handshake r = run_handshake("lease.expire");
+  ASSERT_TRUE(r.stalled) << "the expiry stall never fired\n" << r.trace;
+  EXPECT_TRUE(r.doomed) << "the holder missed the doom\n" << r.trace;
+  EXPECT_TRUE(r.kept) << "the revalidation lost to a stalled expiry\n"
+                      << r.trace;
+  EXPECT_EQ(r.reaped, 0u) << "the expiry CAS won after the revalidation\n"
+                          << r.trace;
+  EXPECT_EQ(r.live, 1u);
 }
 
 }  // namespace
