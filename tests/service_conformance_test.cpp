@@ -5,10 +5,14 @@
 // {RenamingService, ElasticRenamingService} x {kCellProbe, kBitmap} x
 // {name cache on, off}. Every cell must behave identically at this
 // level; substrate and elasticity are implementation detail. Runs under
-// TSan in CI (the concurrent-uniqueness cell is the data-race probe).
+// TSan in CI (the concurrent-uniqueness and churn-history cells are the
+// data-race probes). The churn cell logs every grant and release with
+// its call interval and checks the run with the op-history oracle
+// (tests/op_history.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "elastic/elastic_service.h"
+#include "op_history.h"
 #include "renaming/service.h"
 
 namespace loren {
@@ -375,6 +380,115 @@ TEST_P(ServiceConformance, CounterAccountingStaysExactUnderMixedTraffic) {
   EXPECT_EQ(svc_->release_many(held.data(), held.size()), 0u);
   svc_->flush_thread_cache();
   EXPECT_EQ(svc_->names_live(), 0u);
+}
+
+TEST_P(ServiceConformance, ChurnHistoryPassesTheOpHistoryOracle) {
+  // Four threads churn singles and batches (2..8) against a 16-name
+  // window each; every grant and every release is logged with the
+  // steady_clock interval of its call, and the oracle checks the whole
+  // run at the end. Per thread, held plus stashed names stay under the
+  // window plus one batch, so the 192+ cells never run out.
+  constexpr int kThreads = 4;
+  constexpr int kSteps = 3000;
+  constexpr std::size_t kWindow = 16;
+  std::vector<history::History> logs(kThreads);
+  std::atomic<std::uint64_t> short_releases{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([this, t, &logs, &short_releases] {
+      history::History& log = logs[static_cast<std::size_t>(t)];
+      std::vector<Name> held;
+      std::uint64_t x = 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(t + 1);
+      const auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+      };
+      Name buf[8];
+      const auto give_up = [&](std::size_t k) {
+        for (std::size_t i = 0; i < k; ++i) {
+          std::swap(held[next() % held.size()], held.back());
+          buf[i] = held.back();
+          held.pop_back();
+        }
+        const std::int64_t start = history::now_ns();
+        const std::uint64_t freed =
+            k == 1 ? (svc_->release(buf[0]) ? 1 : 0) : svc_->release_many(buf, k);
+        const std::int64_t end = history::now_ns();
+        if (freed != k) short_releases.fetch_add(k - freed);
+        for (std::size_t i = 0; i < k; ++i) {
+          log.push_back({start, end, buf[i], history::OpKind::kRelease});
+        }
+      };
+      for (int s = 0; s < kSteps; ++s) {
+        const std::uint64_t r = next();
+        const std::size_t k = (r & 2) != 0 ? 1 : 2 + (r >> 2) % 7;
+        if (held.empty() || (held.size() < kWindow && (r & 1) != 0)) {
+          const std::size_t want = std::min(k, kWindow - held.size());
+          const std::int64_t start = history::now_ns();
+          std::uint64_t got = 0;
+          if (want == 1) {
+            buf[0] = svc_->acquire();
+            got = buf[0] >= 0 ? 1 : 0;
+          } else {
+            got = svc_->acquire_many(want, buf);
+          }
+          const std::int64_t end = history::now_ns();
+          for (std::uint64_t i = 0; i < got; ++i) {
+            log.push_back({start, end, buf[i], history::OpKind::kAcquire});
+            held.push_back(buf[i]);
+          }
+        } else {
+          give_up(std::min(k, held.size()));
+        }
+      }
+      while (!held.empty()) give_up(std::min<std::size_t>(8, held.size()));
+      svc_->flush_thread_cache();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(short_releases.load(), 0u) << "a release of a held name failed";
+  const history::CheckResult r = history::check_histories(logs, svc_->capacity());
+  EXPECT_TRUE(r.ok) << r.violation;
+  EXPECT_GT(r.holds, static_cast<std::uint64_t>(kThreads * kSteps / 4));
+  EXPECT_EQ(svc_->names_live(), 0u);
+}
+
+// The oracle itself: hand-built histories it must reject, and the legal
+// overlap of calls (not of surely-held intervals) it must accept.
+TEST(OpHistoryOracle, FlagsEveryBrokenHistory) {
+  using history::OpKind;
+  const auto ev = [](std::int64_t a, std::int64_t b, std::int64_t name,
+                     OpKind kind) { return history::OpEvent{a, b, name, kind}; };
+  // Thread 0 holds 5 over (10, 50); thread 1 is granted 5 at 30.
+  const std::vector<history::History> overlap = {
+      {ev(0, 10, 5, OpKind::kAcquire), ev(50, 60, 5, OpKind::kRelease)},
+      {ev(20, 30, 5, OpKind::kAcquire), ev(80, 90, 5, OpKind::kRelease)}};
+  const history::CheckResult bad = history::check_histories(overlap, 64);
+  EXPECT_FALSE(bad.ok);
+  EXPECT_NE(bad.violation.find("at once"), std::string::npos) << bad.violation;
+
+  // Legal: thread 1's grant call starts before the release returns but
+  // ends after the release began, so the held intervals do not overlap.
+  const std::vector<history::History> handoff = {
+      {ev(0, 10, 5, OpKind::kAcquire), ev(50, 60, 5, OpKind::kRelease)},
+      {ev(55, 70, 5, OpKind::kAcquire)}};
+  EXPECT_TRUE(history::check_histories(handoff, 64).ok);
+
+  EXPECT_FALSE(history::check_histories(
+                   {{ev(0, 1, 5, OpKind::kAcquire), ev(2, 3, 5, OpKind::kAcquire)}},
+                   64)
+                   .ok)
+      << "a grant of a name the thread holds";
+  EXPECT_FALSE(
+      history::check_histories({{ev(0, 1, 5, OpKind::kRelease)}}, 64).ok)
+      << "a release of a name the thread does not hold";
+  EXPECT_FALSE(
+      history::check_histories({{ev(0, 1, 64, OpKind::kAcquire)}}, 64).ok)
+      << "a name at the bound";
 }
 
 INSTANTIATE_TEST_SUITE_P(
