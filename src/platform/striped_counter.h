@@ -50,9 +50,10 @@ class StripedCounter {
     for (auto& s : stripes_) s.v.store(0, std::memory_order_relaxed);
   }
 
-  /// The stripe this thread writes to. (RenamingService keeps its own
-  /// dense thread slot in its thread-local context — see service.cpp —
-  /// because it needs the raw slot, not one folded to kStripes.)
+  /// The stripe this thread writes to. (The services keep their own
+  /// dense thread slot in their thread-local context — see ThreadCtx in
+  /// renaming/thread_ctx.h — because they need the raw slot, not one
+  /// folded to kStripes.)
   static unsigned thread_stripe() {
     // mo: relaxed -- one-time stripe ticket; uniqueness is all that
     // matters, no ordering with any other location.

@@ -31,8 +31,8 @@ namespace loren {
 
 class ServiceDirectory {
  public:
-  /// `payload` is the thread's per-service context (the service's private
-  /// PerService/PerElastic struct), passed type-erased.
+  /// `payload` is the thread's per-service context (ServiceCore's private
+  /// PerThread struct), passed type-erased.
   using FlushFn = void (*)(void* service, void* payload);
 
   static ServiceDirectory& instance() {

@@ -1,12 +1,11 @@
 // Shared thread-context plumbing for the service layer.
 //
-// Both long-lived services (the fixed RenamingService and the
-// ElasticRenamingService) want the same per-thread machinery: a dense
-// thread slot for home-shard hashing, a cached per-thread generator, a
-// tiny per-(thread, service) state table keyed by a process-unique service
-// id, and — since the thread-local name cache — a per-(thread, service)
-// NameStash. This header factors the parts that were private to
-// service.cpp so the elastic service doesn't re-implement them.
+// The per-thread machinery of the service pipeline (ServiceCore,
+// renaming/service_core.h), which both long-lived services run on: a
+// dense thread slot for home-shard hashing, a cached per-thread
+// generator, a tiny per-(thread, service) state table keyed by a
+// process-unique service id, the NameStash thread-local name cache, and
+// the thread_local ThreadCtx that holds them, with its thread-exit flush.
 //
 // The per-service table is a small open-addressed map with one entry per
 // (thread, service) and no eviction — entries (and any registered nodes
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "platform/rng.h"
+#include "renaming/service_directory.h"
 
 namespace loren {
 
@@ -232,20 +232,14 @@ class PerServiceTable {
   PerServiceTable() : entries_(16) {}  // power-of-two capacity
 
   /// The payload for `service_id`; on first touch the entry is default-
-  /// constructed and `init(payload)` runs once.
+  /// constructed and `init(payload)` runs once. The lookup is on every
+  /// service op's path, so it is forced inline; the first touch is not.
   template <class Init>
-  Payload& for_service(std::uint64_t service_id, Init&& init) {
-    std::size_t i = probe(entries_, service_id);
+  [[gnu::always_inline]] Payload& for_service(std::uint64_t service_id,
+                                              Init&& init) {
+    const std::size_t i = probe(entries_, service_id);
     if (entries_[i].service_id == service_id) return entries_[i].payload;
-    if ((distinct_ + 1) * 2 > entries_.size()) {
-      grow();
-      i = probe(entries_, service_id);
-    }
-    ++distinct_;
-    entries_[i].service_id = service_id;
-    entries_[i].payload = Payload{};
-    init(entries_[i].payload);
-    return entries_[i].payload;
+    return insert(service_id, init);
   }
 
   /// Visits every occupied entry as (service_id, payload&). The thread-
@@ -260,6 +254,17 @@ class PerServiceTable {
   }
 
  private:
+  template <class Init>
+  [[gnu::noinline]] Payload& insert(std::uint64_t service_id, Init& init) {
+    if ((distinct_ + 1) * 2 > entries_.size()) grow();
+    const std::size_t i = probe(entries_, service_id);
+    ++distinct_;
+    entries_[i].service_id = service_id;
+    entries_[i].payload = Payload{};
+    init(entries_[i].payload);
+    return entries_[i].payload;
+  }
+
   struct Entry {
     std::uint64_t service_id = 0;  // 0 = empty
     Payload payload{};
@@ -287,5 +292,55 @@ class PerServiceTable {
   std::vector<Entry> entries_;
   std::size_t distinct_ = 0;
 };
+
+/// Everything a service op needs from the calling thread, behind a single
+/// thread_local access: the dense thread slot (the home-shard hash), the
+/// cached per-thread generator (the seed path re-derived one from a
+/// shared ticket on *every* call), and the per-(thread, service) table
+/// (above). One definition; each service type instantiates it with its
+/// own per-thread payload, so a thread holds one context per policy.
+template <class PerThread>
+struct ThreadCtx {
+  std::uint64_t slot;
+  Xoshiro256 rng;
+  PerServiceTable<PerThread> services;
+
+  ThreadCtx(std::uint64_t seed, std::uint64_t slot_)
+      : slot(slot_), rng(mix_seed(seed, slot_)) {}
+
+  /// Thread exit: hand every still-registered service its per-thread
+  /// state so stashed names are flushed, not stranded (see
+  /// renaming/service_directory.h). Runs during TLS destruction; the
+  /// directory callback works only off the payload's cached pointers.
+  ~ThreadCtx() {
+    services.for_each([](std::uint64_t id, PerThread& p) {
+      ServiceDirectory::instance().flush(id, &p);
+    });
+  }
+};
+
+namespace detail {
+/// The calling thread's context, once built: a constant-initialized
+/// thread_local, so the op paths read it with one TLS load and no guard.
+template <class PerThread>
+inline thread_local ThreadCtx<PerThread>* thread_ctx_ptr = nullptr;
+
+/// First touch on a thread, kept out of the op paths. The rng seed is
+/// fixed by the first service of the type a thread touches; streams stay
+/// independent across threads either way, which is all the analysis
+/// needs.
+template <class PerThread>
+[[gnu::noinline]] ThreadCtx<PerThread>& make_thread_ctx(std::uint64_t seed) {
+  thread_local ThreadCtx<PerThread> ctx(seed, dense_thread_slot());
+  thread_ctx_ptr<PerThread> = &ctx;
+  return ctx;
+}
+}  // namespace detail
+
+template <class PerThread>
+[[gnu::always_inline]] inline ThreadCtx<PerThread>& thread_ctx(std::uint64_t seed) {
+  ThreadCtx<PerThread>* ctx = detail::thread_ctx_ptr<PerThread>;
+  return ctx != nullptr ? *ctx : detail::make_thread_ctx<PerThread>(seed);
+}
 
 }  // namespace loren

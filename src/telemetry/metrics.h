@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "platform/cacheline.h"
+#include "telemetry/trace.h"
 
 namespace loren::telemetry {
 
@@ -199,6 +200,29 @@ class MetricsRegistry {
   std::vector<std::string> counter_names_;
   std::vector<std::string> hist_names_;
   std::vector<std::unique_ptr<ThreadStripe>> stripes_;
+};
+
+/// One sampled latency record: when `timed`, the destructor records the
+/// trace_ticks() elapsed since construction into histogram `hist` on the
+/// caller's stripe, so every exit of a sampled op body is measured without
+/// a recording call of its own (the services' 1-in-256 op samples).
+class SampledTicks {
+ public:
+  SampledTicks(bool timed, MetricsRegistry::ThreadStripe* stripe, MetricId hist)
+      : stripe_(timed ? stripe : nullptr),
+        hist_(hist),
+        t0_(timed ? trace_ticks() : 0) {}
+  ~SampledTicks() {
+    if (stripe_ != nullptr) stripe_->record(hist_, trace_ticks() - t0_);
+  }
+  SampledTicks(const SampledTicks&) = delete;
+  SampledTicks& operator=(const SampledTicks&) = delete;
+  [[nodiscard]] bool timed() const { return stripe_ != nullptr; }
+
+ private:
+  MetricsRegistry::ThreadStripe* stripe_;
+  MetricId hist_;
+  std::uint64_t t0_;
 };
 
 /// Telemetry surface of the service options structs. The registry is

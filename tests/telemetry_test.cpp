@@ -350,6 +350,39 @@ TEST(ServiceTelemetryTest, AttachedRegistrySeesElasticMetrics) {
   EXPECT_GT(s.histogram("elastic.reclaim.quiesce_ticks")->count, 0u);
 }
 
+// probe_len records only calls that probed. A shed call is rejected
+// before any probe, so however many sampled calls shed, the histogram
+// must not move (the elastic service once recorded a zero-probe sample
+// for every timed kShed).
+TEST(ServiceTelemetryTest, ShedCallsRecordNoProbeLength) {
+  MetricsRegistry reg;
+  ElasticOptions opts;
+  opts.auto_grow = false;
+  opts.name_cache = false;  // every acquire goes to the shared namespace
+  opts.telemetry.registry = &reg;
+  opts.control.mode = control::ControlMode::kAdapt;
+  ElasticRenamingService svc(64, opts);
+  std::vector<sim::Name> held;
+  sim::Name name = 0;
+  for (int i = 0; i < 4096 && name != ElasticRenamingService::kShed; ++i) {
+    name = svc.acquire();
+    if (name >= 0) held.push_back(name);
+  }
+  ASSERT_EQ(name, ElasticRenamingService::kShed) << "never started shedding";
+  const auto probe_count = [&reg] {
+    return reg.snapshot().histogram("elastic.acquire.probe_len")->count;
+  };
+  const std::uint64_t before = probe_count();
+  constexpr int kShedCalls = 1024;  // 4x the 1-in-256 sampling period
+  for (int i = 0; i < kShedCalls; ++i) {
+    ASSERT_EQ(svc.acquire(), ElasticRenamingService::kShed);
+  }
+  EXPECT_EQ(probe_count(), before);
+  EXPECT_GE(svc.shed_events(), static_cast<std::uint64_t>(kShedCalls));
+  // The sampled shed calls were still timed.
+  EXPECT_GT(reg.snapshot().histogram("elastic.acquire.ticks")->count, 0u);
+}
+
 TEST(ServiceTelemetryTest, SharedRegistryAggregatesAcrossServices) {
   MetricsRegistry reg;
   RenamingServiceOptions opts;
