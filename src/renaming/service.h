@@ -4,22 +4,14 @@
 // thread probes the same B_0, and under churn all acquisitions funnel
 // through one probe geometry and one set of hot lines. The service splits
 // the namespace into S shards (a power of two): one ShardGroup
-// (renaming/shard_group.h), the namespace layer it shares with the
-// elastic service — a single cache-line-padded arena carved into S shard
-// segments, each with a flattened ReBatching layout sized for n/S
-// holders. The service owns exactly that one group (tag 0, generation 1,
-// never retired): an elastic service with growth off and one generation
-// that never swaps. A thread probes a *sticky* shard — initially its
-// home shard, a cheap dense thread hash — so disjoint thread groups run
-// on disjoint memory, and S is chosen so one padded shard fits in L1:
-// under churn a thread's entire probe target stays cache-resident, which
-// a single (1+eps)n-cell arena can never be. When the sticky shard's B_0
-// misses, the thread steals a neighbour's B_0 before any shard's small
-// batches (ShardGroup's two-pass ring walk), which keeps names compact;
-// when a shard runs hot (wins start arriving late in the probe schedule)
-// the thread migrates to the next shard in ring order; and after all S
-// schedules miss it falls back to a deterministic sweep of every cell,
-// so acquire() fails only when the whole namespace is exhausted.
+// (renaming/shard_group.h, which describes the probing discipline — the
+// sticky shard, the two-pass ring walk, migration, the sweep backstop),
+// owned for the service's lifetime (tag 0, generation 1, never retired):
+// an elastic service with growth off and one generation that never
+// swaps. S is chosen so one padded shard fits in L1: under churn a
+// thread's entire probe target stays cache-resident, which a single
+// (1+eps)n-cell arena can never be, and acquire() fails only when the
+// whole namespace is exhausted.
 //
 // Names are interleaved across shards — name = local * S + shard — so
 // mapping a name back to its shard is a mask, not a division, and the

@@ -193,17 +193,16 @@ class ServiceCore {
   [[gnu::aligned(kCacheLine)]] bool release(sim::Name name);
 
   /// Batched acquisition: claims up to `k` unique names into `out` and
-  /// returns the number acquired. Per visited shard a single
-  /// probe-schedule walk seeds a linear run-claim, the deterministic
-  /// sweep backstops, and live accounting takes one add per batch — so a
-  /// batch of k costs one TLS lookup, ~one schedule walk and one counter
-  /// update instead of k of each. Returns < k only when fewer than k
-  /// cells were free over the scan (and, on the elastic service, growth
-  /// is unavailable: a shortfall there grows the namespace and claims the
-  /// remainder from the new generation, so a batch may span
-  /// generations). Under concurrent churn the one-pass sweep can come up
-  /// short transiently (cells freed behind its cursor are not revisited);
-  /// callers that must have all k retry the remainder.
+  /// returns the number acquired, through ShardGroup::try_acquire_many's
+  /// seeded run-claims with one live-accounting add per batch — one TLS
+  /// lookup and ~one schedule walk instead of k. Returns < k only when
+  /// fewer than k cells were free over the scan (and, on the elastic
+  /// service, growth is unavailable: a shortfall there grows the
+  /// namespace and claims the remainder from the new generation, so a
+  /// batch may span generations). Under concurrent churn the one-pass
+  /// sweep can come up short transiently (cells freed behind its cursor
+  /// are not revisited); callers that must have all k retry the
+  /// remainder.
   [[gnu::aligned(kCacheLine)]] std::uint64_t acquire_many(std::uint64_t k,
                                                          sim::Name* out);
 
